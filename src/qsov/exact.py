@@ -14,7 +14,7 @@ from .errors import NonTerminating, NotDivisible, PoleError
 
 try:
     from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional "fast" extra
     from fractions import Fraction as _rational
 
 #: Constructor for the exact scalar type: ``frac(2, 3)`` or ``frac("2/3")``.

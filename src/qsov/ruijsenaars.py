@@ -11,6 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -253,28 +255,26 @@ def b_poly_value(x, Tx, t: float, xi: complex, u: complex) -> complex:
 # Poisson brackets by central differences in logarithmic coordinates
 # ---------------------------------------------------------------------------
 
-def poisson_bracket(F, G, x, Tx, h: float = 1e-6) -> complex:
+def poisson_bracket(F, G, x, Tx, h: float = 1e-5) -> complex:
     """{F, G} for the bracket {T_j, x_k} = -i T_j x_k delta_jk.
 
-    F, G are callables of (x, Tx); derivatives are central differences with
-    multiplicative steps exp(+-h) (i.e. in ln T_j and ln x_j).
+    F, G are callables of (x, Tx); derivatives are fourth-order central
+    differences with multiplicative steps exp(+-h), exp(+-2h) (i.e. in
+    ln T_j and ln x_j), so the truncation error is O(h^4).
     """
     n = len(x)
 
+    def scaled(v, j, k):
+        out = list(v)
+        out[j] = v[j] * math.exp(k * h)
+        return out
+
+    def diff(f):
+        return (8.0 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12.0 * h)
+
     def grads(fn):
-        dP, dX = [], []
-        up, dn = math.exp(h), math.exp(-h)
-        for j in range(n):
-            Tp = list(Tx)
-            Tm = list(Tx)
-            Tp[j] = Tx[j] * up
-            Tm[j] = Tx[j] * dn
-            dP.append((fn(x, Tp) - fn(x, Tm)) / (2.0 * h))
-            xp = list(x)
-            xm = list(x)
-            xp[j] = x[j] * up
-            xm[j] = x[j] * dn
-            dX.append((fn(xp, Tx) - fn(xm, Tx)) / (2.0 * h))
+        dP = [diff(lambda k: fn(x, scaled(Tx, j, k))) for j in range(n)]
+        dX = [diff(lambda k: fn(scaled(x, j, k), Tx)) for j in range(n)]
         return dP, dX
 
     FP, FX = grads(F)
@@ -290,9 +290,15 @@ def _separation_component(t: float, xi: complex, ref: SeparationData, kind: str,
     return fn
 
 
-def canonicity_check(x, Tx, t: float, xi: complex, h: float = 1e-6,
+def canonicity_check(x, Tx, t: float, xi: complex, h: float = 1e-5,
                       tol: float = 1e-5) -> dict:
-    """All pairwise brackets of the separation data against the Weyl pattern."""
+    """All pairwise brackets of the separation data against the Weyl pattern.
+
+    Where the separation quadratic is close to degenerate, the separation
+    points move fast with the coordinates.  A second-order difference there
+    needs a step so small that rounding takes over; poisson_bracket's
+    fourth-order stencil keeps such points inside tol at h = 1e-5.
+    """
     base = separation_variables(x, Tx, t, xi)
     y1 = _separation_component(t, xi, base, "y", 0)
     y2 = _separation_component(t, xi, base, "y", 1)
@@ -333,7 +339,7 @@ def richardson_report(x, Tx, t: float, xi: complex, h: float = 1e-3,
     return report
 
 
-def involutivity_residual(x, Tx, t: float, h: float = 1e-6) -> float:
+def involutivity_residual(x, Tx, t: float, h: float = 1e-5) -> float:
     H1f = lambda xv, Tv: hamiltonians(xv, Tv, t)[0]  # noqa: E731
     H2f = lambda xv, Tv: hamiltonians(xv, Tv, t)[1]  # noqa: E731
     return abs(poisson_bracket(H1f, H2f, x, Tx, h))
@@ -360,10 +366,11 @@ def dilog(z: complex) -> complex:
     w = z / (z - 1.0)
     if abs(w) <= 0.75:
         return -0.5 * cmath.log(1.0 - z) ** 2 - dilog(w)
-    return _dilog_series(z)
+    return _dilog_log_series(cmath.log(z))
 
 
 def _dilog_series(z: complex, tol: float = 1e-17) -> complex:
+    """sum z^k / k^2 for |z| <= 0.75 (at most about 100 terms)."""
     total = 0.0 + 0.0j
     term = z
     k = 1
@@ -373,8 +380,40 @@ def _dilog_series(z: complex, tol: float = 1e-17) -> complex:
         term *= z
         if abs(term) / k ** 2 < tol:
             return total
-        if k > 200000:  # |z| extremely close to 1
-            return total
+
+
+def _dilog_log_series(u: complex) -> complex:
+    """Li2(exp(u)) by its expansion about z = 1, convergent for |u| < 2 pi.
+
+    Li2(e^u) = pi^2/6 + u (1 - log(-u)) - u^2/4 + sum_m a_m u^(2m+1) with
+    a_m = -B_2m / (2m (2m+1)!), which falls like (2 pi)^(-2m).  The 20 terms
+    kept reach double precision for |u| < 2.3.  dilog sends here only the
+    band 0.75 < |z| <= 1 that no functional equation maps into |z| <= 0.75,
+    where |u| < 1.5.
+    """
+    u2 = u * u
+    total = _PI2_6 + u * (1.0 - cmath.log(-u)) - 0.25 * u2
+    power = u
+    for a in _dilog_log_coefficients():
+        power *= u2
+        total += a * power
+    return total
+
+
+@lru_cache(maxsize=None)
+def _dilog_log_coefficients() -> tuple:
+    """a_m = -B_2m / (2m (2m+1)!) for m = 1..20, from exact Bernoulli numbers."""
+    # Akiyama-Tanigawa: after step n, row[0] is the Bernoulli number B_n.
+    bern = []
+    row = []
+    for n in range(41):
+        row.append(Fraction(1, n + 1))
+        for j in range(n, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        bern.append(row[0])
+    return tuple(
+        float(-bern[2 * m] / (2 * m * math.factorial(2 * m + 1))) for m in range(1, 21)
+    )
 
 
 def dilog_quad(nu: complex, x: complex, y: complex) -> complex:

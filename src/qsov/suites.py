@@ -336,17 +336,17 @@ def case_mxi_vs_exact(s: str, g: int, xi: str, cfg: nk.NumericConfig):
         (0.3, 0.55), (0.8, -0.4), (1.2, 0.9), (-0.7, 0.25), (2.0, 1.1),
         (0.45, -1.3), (1.7, -0.2), (-1.1, -2.0), (0.05, 0.95), (2.4, -0.6),
     ]
+    nus = (Pair(0, 0), Pair(0, 1), Pair(-1, 1), Pair(0, 2))
+    inputs = [sov.basis("p", nu, ctx) for nu in nus]
+    images = [(sov.basis("pt", nu, ctx), float(sov.mu_p(nu, ctx))) for nu in nus]
     worst = 0.0
     for th1, th2 in angle_pairs:
         y1 = tf * cmath.exp(-2j * th1)
         y2 = tf * cmath.exp(-2j * th2)
         yp = tf * cmath.exp(-1j * (th1 + th2))
-        for nu in (Pair(0, 0), Pair(0, 1), Pair(-1, 1), Pair(0, 2)):
-            pol = sov.basis("p", nu, ctx)
-            val = nk.apply_M_xi_numeric(pol, g, qf, xif, y1, y2, yp, cfg)
-            ref = complex(sov.basis("pt", nu, ctx).evaluate(y1, y2)) * float(
-                sov.mu_p(nu, ctx)
-            )
+        vals = nk.apply_M_xi_numeric(inputs, g, qf, xif, y1, y2, yp, cfg)
+        for val, (image, mu) in zip(vals, images):
+            ref = complex(image.evaluate(y1, y2)) * mu
             worst = max(worst, abs(val - ref) / max(abs(ref), 1.0))
     if worst > 1e-8:
         raise AssertionError(f"integral operator disagrees with the algebraic map: {worst}")

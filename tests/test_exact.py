@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from qsov.errors import NotDivisible, PoleError
@@ -122,6 +123,17 @@ def test_laurent_symmetry_and_eval():
     assert not Laurent2({(0, 1): 1}).is_symmetric()
     val = p.evaluate(2.0, 1.0)
     assert abs(val - (1 / 3 + 4 / 3 + 4.0)) < 1e-12
+
+
+def test_laurent_evaluate_on_node_array():
+    p = Laurent2({(0, 2): frac(1, 3), (2, 0): frac(1, 3), (-1, 3): frac(-5, 7), (1, -2): 2})
+    z = np.exp(2j * np.pi * np.arange(64) / 64)
+    u, v = 0.8 * z, 1.3 / z
+    vals = p.evaluate(u, v)
+    assert vals.shape == z.shape
+    for k in range(len(z)):
+        scalar = p.evaluate(complex(u[k]), complex(v[k]))
+        assert abs(vals[k] - scalar) <= 1e-14 * max(abs(scalar), 1.0)
 
 
 def test_pair_basics():

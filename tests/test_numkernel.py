@@ -108,6 +108,48 @@ def test_separating_integral_matches_algebra():
             assert abs(val - ref) / max(abs(ref), 1.0) < 1e-8
 
 
+def test_separating_integral_on_a_sequence_matches_single_calls():
+    ctx = QContext(s=frac(1, 2), g=2, xi=frac(1))
+    q, t, xi = float(ctx.q), float(ctx.t), float(ctx.xi)
+    th1, th2 = 0.8, -0.4
+    y1, y2 = t * cmath.exp(-2j * th1), t * cmath.exp(-2j * th2)
+    yp = t * cmath.exp(-1j * (th1 + th2))
+    pols = [sov.basis("p", nu, ctx) for nu in (Pair(0, 0), Pair(0, 1), Pair(-1, 1), Pair(0, 2))]
+    many = nk.apply_M_xi_numeric(pols, ctx.g, q, xi, y1, y2, yp)
+    assert isinstance(many, list) and len(many) == len(pols)
+    for pol, val in zip(pols, many):
+        single = nk.apply_M_xi_numeric(pol, ctx.g, q, xi, y1, y2, yp)
+        assert isinstance(single, complex)
+        assert val == single
+
+
+def test_check_disk_accepts_arrays():
+    nk._check_disk(np.array([0.1, 0.5j, -0.99]), 0.3, np.array([[0.2], [0.7j]]))
+    with pytest.raises(ContourUnsupported):
+        nk._check_disk(np.array([0.1, 1.0, 0.2]))
+    with pytest.raises(ContourUnsupported):
+        nk._check_disk(0.5, np.array([[0.1, 0.2], [0.3, 1.5j]]))
+    with pytest.raises(ContourUnsupported):
+        nk._check_disk(np.array([0.5]), 1.2)
+    # one output point outside the disk fails the whole broadcast kernel
+    ys = np.array([[cmath.exp(0.7j)], [5.0 + 0j]])
+    with pytest.raises(ContourUnsupported):
+        nk.kern_I(0.5, cmath.exp(0.35j), ys, nk.unit_nodes(16), 0.25)
+
+
+@pytest.mark.parametrize("n_inner", (64, 200))
+def test_blocked_group_law_inner_values_match_rows(n_inner):
+    r, q, beta = cmath.exp(0.35j), 0.25, 0.7
+    nodes = nk.unit_nodes(n_inner)
+    fvals = 1.0 + 0.5 * (nodes + 1.0 / nodes)
+    rows = np.array(
+        [np.mean(nk.kern_I(beta, r, complex(y), nodes, q) * fvals) for y in nodes]
+    )
+    blocked = nk.fractional_on_nodes(beta, r, fvals, q)
+    assert blocked.shape == (n_inner,)
+    assert np.max(np.abs(blocked - rows)) < 1e-13
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_product_formula(n):
     rep = nk.product_formula_check(n, 0.7, 1.1, 0.25, 0.5)

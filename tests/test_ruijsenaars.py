@@ -1,10 +1,13 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
 from qsov import ruijsenaars as rj
+from qsov import suites
 from qsov.errors import CollisionError, DegenerateRoots, PoleError, ToleranceExceeded
 
 T = 0.5
@@ -146,6 +149,39 @@ def test_dilog_inversion_consistency():
         lhs = rj.dilog(z) + rj.dilog(1 / z)
         rhs = -math.pi ** 2 / 6 - 0.5 * cmath.log(-z) ** 2
         assert abs(lhs - rhs) < 1e-12
+
+
+def test_dilog_matches_mpmath_across_log_series_band():
+    # On |z| = 1 no functional equation reaches |z| <= 0.75 for arg z in about
+    # (0.76, 1.46); there dilog uses the log-series.  Points inside that band,
+    # on both sides of it, and just inside the circle.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for r in (1.0, 0.999, 0.9, 0.78):
+            for arg in (0.3, 0.7, 0.76, 0.8, 1.0, 1.1, 1.3, 1.46, 1.5, 2.0, 3.0):
+                for sign in (1, -1):
+                    z = cmath.rect(r, sign * arg)
+                    ref = complex(mpmath.polylog(2, mpmath.mpc(z.real, z.imag)))
+                    assert abs(rj.dilog(z) - ref) < 1e-14 * max(abs(ref), 1.0), z
+
+
+def test_qsov_import_does_not_load_mpmath():
+    code = "import sys, qsov.cli; assert 'mpmath' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_canonicity_near_degenerate_separation_regression():
+    # qsov verify ruijsenaars --seed 1645046173 drew this point as
+    # canonicity[14]: the separation points nearly coincide, and the
+    # second-order bracket stencil at h = 1e-6 left a residual of 3.1e-5.
+    seed, i = 1645046173, 14
+    assert suites.case_rj_canonicity(seed + i, 0.5, 0.7, 0.0) < 1e-5
+    p = rj.random_phase_point(random.Random(seed + i), 2)
+    data = rj.separation_variables(p.x, p.Tx, 0.5, 0.7)
+    assert abs(data.y[0] - data.y[1]) < 0.12
+    # Here all three coefficients of the separation quadratic are small, so
+    # the points move fast although far apart; the old stencil left 1.9e-4.
+    assert suites.case_rj_canonicity(43372, 0.5, 0.7, 0.0) < 1e-5
 
 
 def test_generating_function_derivatives():

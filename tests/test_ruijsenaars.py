@@ -8,7 +8,13 @@ import pytest
 
 from qsov import ruijsenaars as rj
 from qsov import suites
-from qsov.errors import CollisionError, DegenerateRoots, PoleError, ToleranceExceeded
+from qsov.errors import (
+    CollisionError,
+    DegenerateRoots,
+    PoleError,
+    ToleranceExceeded,
+    TrendViolation,
+)
 
 T = 0.5
 XI = 0.7
@@ -133,7 +139,44 @@ def test_canonicity_and_richardson():
         p = rj.random_phase_point(rng, 2)
         rep = rj.canonicity_check(p.x, p.Tx, T, XI)
         assert rep["max"] < 1e-5
-        rj.richardson_report(p.x, p.Tx, T, XI)
+        assert rj.richardson_report(p.x, p.Tx, T, XI)["tested"]
+
+
+def _suite_canonicity_points(seed=0):
+    for name, _, _, args in suites._ruijsenaars_cases(seed):
+        if name.startswith("canonicity["):
+            case_seed, t, xi_re, xi_im = args
+            yield name, rj.random_phase_point(random.Random(case_seed), 2), t, complex(xi_re, xi_im)
+
+
+def test_richardson_trend_is_tested_on_suite_points():
+    # The trend is only checked where the coarse residual clears the floor.
+    # At every canonicity point of the default suite it must, and halving
+    # the step must show the stencil's fourth order (a factor near 16).
+    for name, p, t, xi in _suite_canonicity_points():
+        rep = rj.richardson_report(p.x, p.Tx, t, xi)
+        assert rep["tested"], name
+        assert 12.0 < rep["coarse"] / rep["fine"] < 20.0, (name, rep)
+
+
+def test_richardson_catches_a_second_order_stencil(monkeypatch):
+    def second_order(fn, x, Tx, h=1e-5):
+        def diff(f):
+            return (f(1) - f(-1)) / (2.0 * h)
+
+        def scaled(v, j, k):
+            out = list(v)
+            out[j] = v[j] * math.exp(k * h)
+            return out
+
+        dP = [diff(lambda k: fn(x, scaled(Tx, j, k))) for j in range(len(x))]
+        dX = [diff(lambda k: fn(scaled(x, j, k), Tx)) for j in range(len(x))]
+        return dP, dX
+
+    name, p, t, xi = next(_suite_canonicity_points())
+    monkeypatch.setattr(rj, "log_gradient", second_order)
+    with pytest.raises(TrendViolation):
+        rj.richardson_report(p.x, p.Tx, t, xi)
 
 
 def test_dilog_values():
@@ -182,6 +225,14 @@ def test_canonicity_near_degenerate_separation_regression():
     # Here all three coefficients of the separation quadratic are small, so
     # the points move fast although far apart; the old stencil left 1.9e-4.
     assert suites.case_rj_canonicity(43372, 0.5, 0.7, 0.0) < 1e-5
+    # At both points a fixed coarse step of 1e-2 is far outside the
+    # stencil's asymptotic regime (residual above 1); the step taken from
+    # separation_scale is inside it.
+    for rng_seed in (seed + i, 43372):
+        p = rj.random_phase_point(random.Random(rng_seed), 2)
+        assert rj.separation_scale(p.x, p.Tx, 0.5, 0.7) < 2e-2
+        rep = rj.richardson_report(p.x, p.Tx, 0.5, 0.7)
+        assert rep["tested"] and rep["coarse"] / rep["fine"] > 12.0
 
 
 def test_generating_function_derivatives():

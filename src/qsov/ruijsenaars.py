@@ -323,7 +323,7 @@ def canonicity_check(x, Tx, t: float, xi: complex, h: float = 1e-5,
     return report
 
 
-def separation_scale(x, Tx, t: float, xi: complex, h: float = 1e-5) -> float:
+def separation_scale(x, Tx, t: float, xi: complex) -> float:
     """Log-coordinate distance over which the two separation points could meet.
 
     |y1 - y2| over the largest partial derivative of y1 - y2 in ln T_j and
@@ -338,24 +338,22 @@ def separation_scale(x, Tx, t: float, xi: complex, h: float = 1e-5) -> float:
         y = separation_variables(xv, Tv, t, xi, ref=base.y, check=False).y
         return y[0] - y[1]
 
-    dP, dX = log_gradient(gap, x, Tx, h)
+    dP, dX = log_gradient(gap, x, Tx)
     slope = max(abs(d) for d in dP + dX)
     return abs(base.y[0] - base.y[1]) / slope if slope > 0.0 else math.inf
 
 
-def richardson_report(x, Tx, t: float, xi: complex, h: float | None = None,
-                      floor: float = 1e-10) -> dict:
+def richardson_report(x, Tx, t: float, xi: complex, floor: float = 1e-10) -> dict:
     """Halving the step must cut the truncation-dominated residuals 8-fold.
 
     poisson_bracket's stencil is fourth order, so in its asymptotic regime
-    a halving divides the residual by 16.  The default step is
+    a halving divides the residual by 16.  The coarse step is
     min(2e-2, 0.03 * separation_scale).  On random_phase_point draws the
     coarse residual then lies between 5e-9 and 0.5, far above the floor and
     rounding, and the step stays in that regime at nearly degenerate points.
     The report's "tested" says whether the coarse residual cleared the floor.
     """
-    if h is None:
-        h = min(2e-2, 0.03 * separation_scale(x, Tx, t, xi))
+    h = min(2e-2, 0.03 * separation_scale(x, Tx, t, xi))
 
     def max_residual(step):
         return canonicity_check(x, Tx, t, xi, h=step, tol=math.inf)["max"]

@@ -13,13 +13,39 @@ import io
 import json
 import sys
 
-from . import macdonald, qpoly, sov, suites
+from . import macdonald, numkernel, qpoly, sov, suites
 from .errors import QsovError
 from .exact import Pair, QContext, frac, rational_str
 
 
-def _context_from(args) -> QContext:
-    return QContext(s=frac(args.s), g=args.g, xi=frac(args.xi))
+def _inputs(args) -> dict:
+    """The objects the command's flags describe, built before any computation.
+
+    Every check on a flag value runs here, so main() can report a bad value
+    as a usage error and let errors from the computations themselves pass.
+    """
+    if args.command == "verify":
+        if args.lmax < 0:
+            raise ValueError("--lmax must be nonnegative; a negative bound checks no label")
+        grid = {
+            "s_values": tuple(args.s) if args.s else suites.DEFAULT_S,
+            "g_values": tuple(args.g) if args.g else suites.DEFAULT_G,
+            "xi_values": tuple(args.xi) if args.xi else suites.DEFAULT_XI,
+        }
+        suites.default_contexts(**grid)
+        numkernel.NumericConfig(
+            quad_points=args.quad_points, tol_tight=args.tol_tight, tol_loose=args.tol_loose
+        )
+        return grid
+    ctx = QContext(s=frac(args.s), g=args.g, xi=frac(args.xi))
+    inputs = {"ctx": ctx, "lam": Pair.parse(args.lam)}
+    if args.command == "compute":
+        if args.n < 0:
+            raise ValueError("--n must be nonnegative")
+        inputs["nu"] = Pair.parse(args.nu)
+        beta = {"t": ctx.t, "q": ctx.q}.get(args.beta)
+        inputs["beta"] = frac(args.beta) if beta is None else beta
+    return inputs
 
 
 def _emit(payload, args) -> None:
@@ -47,30 +73,23 @@ def _poly2_table(poly) -> dict:
     return {f"{a},{b}": rational_str(v) for (a, b), v in sorted(poly.c.items())}
 
 
-def cmd_compute(args) -> int:
-    ctx = _context_from(args)
+def cmd_compute(args, inputs: dict) -> int:
+    ctx, lam = inputs["ctx"], inputs["lam"]
     kind = args.kind
     if kind == "cpoly":
-        beta = {"t": ctx.t, "q": ctx.q}.get(args.beta, None)
-        if beta is None:
-            beta = frac(args.beta)
-        poly = qpoly.cq_sum(args.n, beta, ctx)
+        poly = qpoly.cq_sum(args.n, inputs["beta"], ctx)
         _emit(_poly1_table(poly), args)
     elif kind == "macdonald":
-        lam = Pair.parse(args.lam)
         table = {}
         for nu1 in range(lam.l1, lam.total // 2 + 1):
             nu = Pair(nu1, lam.total - nu1)
             table[str(nu)] = rational_str(macdonald.u_coeff(lam, nu, ctx))
         _emit(table, args)
     elif kind == "separated":
-        lam = Pair.parse(args.lam)
         _emit(_poly1_table(macdonald.separated_poly(lam, ctx).poly), args)
     elif kind == "basis":
-        nu = Pair.parse(args.nu)
-        _emit(_poly2_table(sov.basis(args.basis, nu, ctx)), args)
+        _emit(_poly2_table(sov.basis(args.basis, inputs["nu"], ctx)), args)
     elif kind == "transition":
-        lam = Pair.parse(args.lam)
         row = sov.transition_row(args.row_kind, lam, ctx)
         _emit({str(nu): rational_str(v) for nu, v in sorted(row.entries.items(),
               key=lambda kv: (kv[0].l1, kv[0].l2))}, args)
@@ -79,9 +98,8 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def cmd_factorize(args) -> int:
-    ctx = _context_from(args)
-    lam = Pair.parse(args.lam)
+def cmd_factorize(args, inputs: dict) -> int:
+    ctx, lam = inputs["ctx"], inputs["lam"]
     try:
         image = sov.separate(lam, ctx)
     except QsovError as exc:
@@ -97,12 +115,10 @@ def cmd_factorize(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, grid: dict) -> int:
     report = suites.run_suite(
         args.suite,
-        s_values=tuple(args.s) if args.s else suites.DEFAULT_S,
-        g_values=tuple(args.g) if args.g else suites.DEFAULT_G,
-        xi_values=tuple(args.xi) if args.xi else suites.DEFAULT_XI,
+        **grid,
         lmax=args.lmax,
         quad_points=args.quad_points,
         tol_tight=args.tol_tight,
@@ -201,7 +217,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        inputs = _inputs(args)
+    except (ValueError, ZeroDivisionError) as exc:
+        parser.error(str(exc))
+    try:
+        return args.func(args, inputs)
     except QsovError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

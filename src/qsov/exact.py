@@ -87,7 +87,10 @@ class Pair:
 
     @staticmethod
     def parse(text: str) -> "Pair":
-        a, b = (int(p) for p in text.split(","))
+        try:
+            a, b = (int(p) for p in text.split(","))
+        except ValueError:
+            raise ValueError(f"label pair 'l1,l2' expected, got {text!r}") from None
         return Pair(a, b)
 
 
@@ -134,10 +137,6 @@ class QContext:
     @property
     def t(self):
         return self.s ** (2 * self.g)
-
-    @property
-    def sqrt_q(self):
-        return self.s
 
     @property
     def sqrt_t(self):
@@ -612,14 +611,6 @@ def random_symmetric(rng, degree=6, terms=5) -> Laurent2:
         b = rng.randint(a, degree)
         v = random_rational(rng)
         p = p + Laurent2({(a, b): v, (b, a): v} if a != b else {(a, b): v})
-    return p
-
-
-def random_laurent1(rng, lo=-4, hi=4, terms=4) -> Laurent1:
-    p = Laurent1()
-    for _ in range(terms):
-        k = rng.randint(lo, hi)
-        p = p + Laurent1.term(k, random_rational(rng))
     return p
 
 

@@ -24,6 +24,7 @@ from .errors import (
     ToleranceExceeded,
     TrendViolation,
 )
+from .numkernel import qprod_inf
 
 _PI2_6 = math.pi ** 2 / 6.0
 
@@ -531,32 +532,17 @@ def generating_function_check(x, Tx, t: float, xi: complex, h: float = 1e-5,
 # Gauge functions and the reduction from the three-particle chain
 # ---------------------------------------------------------------------------
 
-def _qprod(a: complex, q: float) -> complex:
-    out = 1.0 + 0.0j
-    qk = 1.0
-    for _ in range(_trunc(abs(a), q)):
-        out *= 1.0 - a * qk
-        qk *= q
-    return out
-
-
-def _trunc(amax: float, q: float) -> int:
-    if amax == 0:
-        return 1
-    return max(1, int(math.ceil(math.log(1e-16 / max(amax, 1e-16)) / math.log(q))) + 2)
-
-
 def gauge_x(x, q: float, t: float) -> complex:
     x1, x2, x3 = x
-    num = _qprod(t, q) * _qprod(t * x1 / x3, q) * _qprod(t * x2 / x3, q)
-    den = _qprod(t ** 2, q) * _qprod(x1 / x3, q) * _qprod(x2 / x3, q)
+    num = qprod_inf(t, q) * qprod_inf(t * x1 / x3, q) * qprod_inf(t * x2 / x3, q)
+    den = qprod_inf(t ** 2, q) * qprod_inf(x1 / x3, q) * qprod_inf(x2 / x3, q)
     return num / den
 
 
 def gauge_y(ytld, t: float, q: float) -> complex:
     y1, y2 = ytld
-    num = _qprod(t ** 2, q) * _qprod(y1, q) * _qprod(y2, q)
-    den = _qprod(t ** 3, q) * _qprod(y1 / t, q) * _qprod(y2 / t, q)
+    num = qprod_inf(t ** 2, q) * qprod_inf(y1, q) * qprod_inf(y2, q)
+    den = qprod_inf(t ** 3, q) * qprod_inf(y1 / t, q) * qprod_inf(y2 / t, q)
     return num / den
 
 
@@ -646,21 +632,6 @@ def reduction_map_report(x3amb, Ttld, t: float, tol: float = 1e-8) -> dict:
     if worst > tol:
         raise ToleranceExceeded(f"reduction map fails: {report}")
     return report
-
-
-def reduction_checks(x3amb, Ttld, q: float, t: float, tol_ratio: float = 1e-10,
-                     tol_map: float = 1e-8) -> dict:
-    """Gauge-ratio telescoping plus the canonical transport of separation data."""
-    base = separation_variables(
-        (x3amb[0], x3amb[1]),
-        [math.sqrt(t) * v_factor(x3amb[j], x3amb[2], t) * Ttld[j] for j in (0, 1)],
-        t,
-        xi=x3amb[2],
-    )
-    ytld = tuple(t * y for y in base.y)
-    gauge = gauge_ratio_report(x3amb, q, t, ytld, tol_ratio)
-    transport = reduction_map_report(x3amb, Ttld, t, tol_map)
-    return {"gauge": gauge, "map": transport, "max": max(gauge["max"], transport["max"])}
 
 
 # ---------------------------------------------------------------------------

@@ -59,70 +59,47 @@ class TransitionRow:
     entries: dict
 
 
-def _linear_x1(c) -> Laurent2:
-    return Laurent2({(0, 0): ONE, (1, 0): -c})
+def _linear(c, e1: int, e2: int) -> Laurent2:
+    """1 - c x1^e1 x2^e2."""
+    return Laurent2({(0, 0): ONE, (e1, e2): -c})
 
 
-def _linear_x2(c) -> Laurent2:
-    return Laurent2({(0, 0): ONE, (0, 1): -c})
+def _basis_param(tag: str, ctx: QContext):
+    """(forward, a) defining basis(tag, .), the only place the four bases are fixed.
 
-
-def _linear_x1_inv(c) -> Laurent2:
-    return Laurent2({(0, 0): ONE, (-1, 0): -c})
-
-
-def _linear_x2_inv(c) -> Laurent2:
-    return Laurent2({(0, 0): ONE, (0, -1): -c})
+    A forward basis is anchored at x1^nu1 x2^nu1 with factors (1 - a q^k x_j);
+    a backward one at x1^nu2 x2^nu2 with factors (1 - a q^k / x_j).
+    """
+    if tag == "p":
+        return True, ONE / ctx.xi
+    if tag == "pt":
+        return True, ONE
+    if tag == "r":
+        return False, ctx.t * ctx.xi
+    if tag == "rt":
+        return False, ctx.t ** 2
+    raise ValueError(f"unknown basis tag {tag!r}")
 
 
 @lru_cache(maxsize=None)
 def basis(tag: str, nu: Pair, ctx: QContext) -> Laurent2:
     """Basis element for the given tag; results are cached and must not be mutated."""
+    forward, a = _basis_param(tag, ctx)
+    e = 1 if forward else -1
+    anchor = nu.l1 if forward else nu.l2
     q = ctx.q
-    m = nu.width
-    if tag == "p":
-        out = Laurent2.term(nu.l1, nu.l1)
-        a = ONE / ctx.xi
-        for k in range(m):
-            out = out * _linear_x1(a * q ** k) * _linear_x2(a * q ** k)
-    elif tag == "r":
-        out = Laurent2.term(nu.l2, nu.l2)
-        a = ctx.t * ctx.xi
-        for k in range(m):
-            out = out * _linear_x1_inv(a * q ** k) * _linear_x2_inv(a * q ** k)
-    elif tag == "pt":
-        out = Laurent2.term(nu.l1, nu.l1)
-        for k in range(m):
-            out = out * _linear_x1(q ** k) * _linear_x2(q ** k)
-    elif tag == "rt":
-        out = Laurent2.term(nu.l2, nu.l2)
-        a = ctx.t ** 2
-        for k in range(m):
-            out = out * _linear_x1_inv(a * q ** k) * _linear_x2_inv(a * q ** k)
-    else:
-        raise ValueError(f"unknown basis tag {tag!r}")
+    out = Laurent2.term(anchor, anchor)
+    for k in range(nu.width):
+        c = a * q ** k
+        out = out * _linear(c, e, 0) * _linear(c, 0, e)
     return out
-
-
-basis_p = lambda nu, ctx: basis("p", nu, ctx)  # noqa: E731
-basis_r = lambda nu, ctx: basis("r", nu, ctx)  # noqa: E731
-basis_pt = lambda nu, ctx: basis("pt", nu, ctx)  # noqa: E731
-basis_rt = lambda nu, ctx: basis("rt", nu, ctx)  # noqa: E731
 
 
 def _leading(tag: str, nu: Pair, ctx: QContext):
     """Coefficient of the extreme monomial (nu1, nu2) in basis(tag, nu)."""
     m = nu.width
-    head = ctx.q ** (m * (m - 1) // 2)
-    if tag == "p":
-        return (-ONE / ctx.xi) ** m * head
-    if tag == "r":
-        return (-ctx.t * ctx.xi) ** m * head
-    if tag == "pt":
-        return (-ONE) ** m * head
-    if tag == "rt":
-        return (-(ctx.t ** 2)) ** m * head
-    raise ValueError(f"unknown basis tag {tag!r}")
+    _, a = _basis_param(tag, ctx)
+    return (-a) ** m * ctx.q ** (m * (m - 1) // 2)
 
 
 def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> BasisExpansion:
@@ -163,53 +140,46 @@ def reassemble(exp: BasisExpansion, ctx: QContext) -> Laurent2:
 # Diagonal action and the separating map
 # ---------------------------------------------------------------------------
 
-def mu_p(nu: Pair, ctx: QContext):
-    """Eigen-multiplier on the p side."""
-    m = nu.width
+def _multiplier(e: int, m: int, ctx: QContext):
+    """t^-e xi^(2e) (t;q)_m / (t^2;q)_m."""
     return (
-        ctx.t ** (-nu.l1)
-        * ctx.xi ** (2 * nu.l1)
+        ctx.t ** (-e)
+        * ctx.xi ** (2 * e)
         * _poch(ctx.t, ctx.q, m)
         / _poch(ctx.t ** 2, ctx.q, m)
     )
+
+
+def mu_p(nu: Pair, ctx: QContext):
+    """Eigen-multiplier on the p side."""
+    return _multiplier(nu.l1, nu.width, ctx)
 
 
 def mu_r(nu: Pair, ctx: QContext):
     """Eigen-multiplier on the r side."""
-    m = nu.width
-    return (
-        ctx.t ** (-nu.l2)
-        * ctx.xi ** (2 * nu.l2)
-        * _poch(ctx.t, ctx.q, m)
-        / _poch(ctx.t ** 2, ctx.q, m)
-    )
+    return _multiplier(nu.l2, nu.width, ctx)
+
+
+def _diagonal_map(p: Laurent2, source: str, target: str, scale, ctx: QContext) -> Laurent2:
+    """Expand p in the source basis, scale each coefficient by scale(nu), reassemble in target."""
+    exp = expand_in_basis(p, source, ctx)
+    coeffs = {nu: c * scale(nu) for nu, c in exp.coeffs.items()}
+    return reassemble(BasisExpansion(tag=target, coeffs=coeffs), ctx)
 
 
 def apply_M(p: Laurent2, ctx: QContext) -> Laurent2:
     """Separating map, computed through the p basis."""
-    exp = expand_in_basis(p, "p", ctx)
-    out = Laurent2()
-    for nu, c in exp.coeffs.items():
-        out = out + basis("pt", nu, ctx) * (c * mu_p(nu, ctx))
-    return out
+    return _diagonal_map(p, "p", "pt", lambda nu: mu_p(nu, ctx), ctx)
 
 
 def apply_M_via_r(p: Laurent2, ctx: QContext) -> Laurent2:
     """Same map, computed through the r basis (dual-route consistency)."""
-    exp = expand_in_basis(p, "r", ctx)
-    out = Laurent2()
-    for nu, c in exp.coeffs.items():
-        out = out + basis("rt", nu, ctx) * (c * mu_r(nu, ctx))
-    return out
+    return _diagonal_map(p, "r", "rt", lambda nu: mu_r(nu, ctx), ctx)
 
 
 def apply_M_inverse(p: Laurent2, ctx: QContext) -> Laurent2:
     """Inverse map through the tilded p basis."""
-    exp = expand_in_basis(p, "pt", ctx)
-    out = Laurent2()
-    for nu, c in exp.coeffs.items():
-        out = out + basis("p", nu, ctx) * (c / mu_p(nu, ctx))
-    return out
+    return _diagonal_map(p, "pt", "p", lambda nu: ONE / mu_p(nu, ctx), ctx)
 
 
 def apply_M_inverse_qdiff(p: Laurent2, ctx: QContext) -> Laurent2:
@@ -220,43 +190,32 @@ def apply_M_inverse_qdiff(p: Laurent2, ctx: QContext) -> Laurent2:
     summed over that common denominator and the final division is exact.
     """
     g, q, t, xi = ctx.g, ctx.q, ctx.t, ctx.xi
-    ratio = Laurent2.term(-1, 1)  # x2/x1
-
-    def one_minus_ratio(c) -> Laurent2:
-        return Laurent2({(0, 0): ONE, (-1, 1): -c})
-
     denom = Laurent2({(0, 0): _poch(t, q, g)})
     for j in range(-g, g + 1):
-        denom = denom * one_minus_ratio(q ** j)
+        denom = denom * _linear(q ** j, -1, 1)
     accum = Laurent2()
     for k in range(g + 1):
         coef = (-ONE) ** k * ctx.qh(-k * (k - 1)) * qbinomial(g, k, q)
         nk = Laurent2.term(-k, k, coef)
-        nk = nk * one_minus_ratio(q ** (g - 2 * k))
+        nk = nk * _linear(q ** (g - 2 * k), -1, 1)
         for i in range(k):
-            nk = nk * _linear_x1((ONE / xi) * q ** i)
-            nk = nk * _linear_x2_inv(t * xi * q ** i)
+            nk = nk * _linear((ONE / xi) * q ** i, 1, 0)
+            nk = nk * _linear(t * xi * q ** i, 0, -1)
         for i in range(g - k):
-            nk = nk * _linear_x2((ONE / xi) * q ** i)
-            nk = nk * _linear_x1_inv(t * xi * q ** i)
+            nk = nk * _linear((ONE / xi) * q ** i, 0, 1)
+            nk = nk * _linear(t * xi * q ** i, -1, 0)
         for j in range(-g, -k):
-            nk = nk * one_minus_ratio(q ** j)
+            nk = nk * _linear(q ** j, -1, 1)
         for j in range(g - k + 1, g + 1):
-            nk = nk * one_minus_ratio(q ** j)
+            nk = nk * _linear(q ** j, -1, 1)
         shifted = p.subs_scale((ONE / xi) * q ** k, (ONE / xi) * t * q ** (-k))
         accum = accum + nk * shifted
     return divide_exact(accum, denom)
 
 
 def normalization_c(lam: Pair, ctx: QContext):
-    """Scale factor in front of the factorized image of P_lam."""
-    m = lam.width
-    return (
-        ctx.t ** (-2 * lam.l1 + lam.l2)
-        * ctx.xi ** lam.total
-        * _poch(ctx.t, ctx.q, m)
-        / _poch(ctx.t ** 2, ctx.q, m)
-    )
+    """Scale factor in front of the factorized image of P_lam: (t xi)^width mu_p(lam)."""
+    return (ctx.t * ctx.xi) ** lam.width * mu_p(lam, ctx)
 
 
 def f_tensor(f: macdonald.SeparatedPoly) -> Laurent2:
@@ -324,7 +283,8 @@ def check_rt_shift_relations(nu: Pair, ctx: QContext) -> bool:
     q, t = ctx.q, ctx.t
     m = nu.width
     rt = basis("rt", nu, ctx)
-    factor = _linear_x1_inv(q ** (m - 1) * t ** 2) * _linear_x2_inv(q ** (m - 1) * t ** 2)
+    c = q ** (m - 1) * t ** 2
+    factor = _linear(c, -1, 0) * _linear(c, 0, -1)
     if m >= 1:
         up = basis("rt", Pair(nu.l1 + 1, nu.l2), ctx)
         if up * factor != rt:
@@ -334,10 +294,9 @@ def check_rt_shift_relations(nu: Pair, ctx: QContext) -> bool:
             raise IdentityViolation(f"second shift relation fails for nu={nu}")
     for jdx in range(2):
         lhs = qshift(rt, jdx, 2, ctx)
-        fac_j = _linear_x1_inv(q ** (m - 1) * t ** 2) if jdx == 0 else _linear_x2_inv(
-            q ** (m - 1) * t ** 2
-        )
-        fac_r = _linear_x1_inv(t ** 2 / q) if jdx == 0 else _linear_x2_inv(t ** 2 / q)
+        e = (-1, 0) if jdx == 0 else (0, -1)
+        fac_j = _linear(c, *e)
+        fac_r = _linear(t ** 2 / q, *e)
         if lhs * fac_j != rt * fac_r * q ** nu.l2:
             raise IdentityViolation(f"q-shift relation fails for nu={nu}, j={jdx + 1}")
     return True
@@ -350,17 +309,13 @@ def check_quantum_char_eq(nu: Pair, j: int, ctx: QContext) -> bool:
     q, t = ctx.q, ctx.t
     jdx = j - 1
     ej = (1, 0) if jdx == 0 else (0, 1)
-
-    def one_minus(c) -> Laurent2:
-        return Laurent2({(0, 0): ONE, ej: -c})
-
     r = basis("r", nu, ctx)
     m_r = apply_M_via_r(r, ctx)
     m_h1 = apply_M_via_r(macdonald.apply_H1(r, ctx), ctx)
     m_h2 = apply_M_via_r(macdonald.apply_H2(r, ctx), ctx)
-    term1 = one_minus(q) * qshift(m_r, jdx, 4, ctx)
-    term2 = one_minus(q / t) * qshift(m_h1, jdx, 2, ctx) * ctx.th(1)
-    term3 = one_minus(q / t ** 2) * m_h2 * t
+    term1 = _linear(q, *ej) * qshift(m_r, jdx, 4, ctx)
+    term2 = _linear(q / t, *ej) * qshift(m_h1, jdx, 2, ctx) * ctx.th(1)
+    term3 = _linear(q / t ** 2, *ej) * m_h2 * t
     residual = term1 - term2 + term3
     if residual:
         raise IdentityViolation(
@@ -373,96 +328,51 @@ def check_quantum_char_eq(nu: Pair, j: int, ctx: QContext) -> bool:
 # Transition matrices: closed forms and recurrences
 # ---------------------------------------------------------------------------
 
-def _rho_entry(lam: Pair, nu: Pair, ctx: QContext):
+def _closed_entry(base: str, lam: Pair, nu: Pair, ctx: QContext):
+    """Product formula for the (lam, nu) entry of the rho, pi, R or Q matrix.
+
+    rho and pi share one Pochhammer magnitude, R and Q another; each kind
+    adds its own power of t*xi or xi and its own power of q^(1/2).
+    """
     q, t, xi = ctx.q, ctx.t, ctx.xi
     m = nu.width
-    sign = (-ONE) ** m
-    power = (t * xi) ** (lam.total - 2 * nu.l2)
-    qpow = ctx.qh(m * (2 * lam.l1 + 1 - nu.total))
-    num = (
-        _poch(t, q, nu.l2 - lam.l1)
-        * _poch(t, q, lam.l2 - nu.l1)
-        * _poch(q, q, lam.width)
-    )
-    den = (
-        _poch(q, q, lam.l2 - nu.l2)
-        * _poch(q, q, nu.l1 - lam.l1)
-        * _poch(t, q, m)
-        * _poch(t, q, lam.width)
-        * _poch(q, q, m)
-    )
-    return sign * power * qpow * num / den
-
-
-def _pi_entry(lam: Pair, nu: Pair, ctx: QContext):
-    q, t, xi = ctx.q, ctx.t, ctx.xi
-    m = nu.width
-    sign = (-ONE) ** m
-    power = xi ** (lam.total - 2 * nu.l1)
-    qpow = ctx.qh(m * (nu.total - 2 * lam.l2 + 1))
-    num = (
-        _poch(t, q, lam.l2 - nu.l1)
-        * _poch(t, q, nu.l2 - lam.l1)
-        * _poch(q, q, lam.width)
-    )
-    den = (
-        _poch(q, q, lam.l2 - nu.l2)
-        * _poch(q, q, nu.l1 - lam.l1)
-        * _poch(t, q, m)
-        * _poch(t, q, lam.width)
-        * _poch(q, q, m)
-    )
-    return sign * power * qpow * num / den
-
-
-def _R_entry(lam: Pair, nu: Pair, ctx: QContext):
-    q, t, xi = ctx.q, ctx.t, ctx.xi
-    m = nu.width
-    sign = (-ONE) ** m
-    power = (t * xi) ** (2 * lam.l2 - nu.total)
-    expo = (
-        2 * lam.l2 ** 2
-        - 2 * (nu.total + 1) * lam.l2
-        + nu.total
-        + nu.l1 ** 2
-        + nu.l2 ** 2
-    )
-    qpow = ctx.qh(expo)
-    tq = t * q
-    num = _poch(tq, q, lam.width) * _poch(tq, q, m) * _poch(q, q, lam.width)
-    den = (
-        _poch(q, q, lam.l2 - nu.l2)
-        * _poch(q, q, nu.l1 - lam.l1)
-        * _poch(tq, q, nu.l2 - lam.l1)
-        * _poch(tq, q, lam.l2 - nu.l1)
-        * _poch(q, q, m)
-    )
-    return sign * power * qpow * num / den
-
-
-def _Q_entry(lam: Pair, nu: Pair, ctx: QContext):
-    q, t, xi = ctx.q, ctx.t, ctx.xi
-    m = nu.width
-    sign = (-ONE) ** m
-    power = xi ** (2 * lam.l1 - nu.total)
-    expo = (
-        2 * lam.l1 ** 2
-        - 2 * (nu.total - 1) * lam.l1
-        - nu.total
-        + nu.l1 ** 2
-        + nu.l2 ** 2
-    )
-    qpow = ctx.qh(expo)
-    tq = t * q
-    num = _poch(tq, q, lam.width) * _poch(tq, q, m) * _poch(q, q, lam.width)
-    den = (
-        _poch(q, q, lam.l2 - nu.l2)
-        * _poch(q, q, nu.l1 - lam.l1)
-        * _poch(tq, q, nu.l2 - lam.l1)
-        * _poch(tq, q, lam.l2 - nu.l1)
-        * _poch(q, q, m)
-    )
-    return sign * power * qpow * num / den
+    if base in ("rho", "pi"):
+        num = (
+            _poch(t, q, nu.l2 - lam.l1)
+            * _poch(t, q, lam.l2 - nu.l1)
+            * _poch(q, q, lam.width)
+        )
+        den = (
+            _poch(q, q, lam.l2 - nu.l2)
+            * _poch(q, q, nu.l1 - lam.l1)
+            * _poch(t, q, m)
+            * _poch(t, q, lam.width)
+            * _poch(q, q, m)
+        )
+    else:
+        tq = t * q
+        num = _poch(tq, q, lam.width) * _poch(tq, q, m) * _poch(q, q, lam.width)
+        den = (
+            _poch(q, q, lam.l2 - nu.l2)
+            * _poch(q, q, nu.l1 - lam.l1)
+            * _poch(tq, q, nu.l2 - lam.l1)
+            * _poch(tq, q, lam.l2 - nu.l1)
+            * _poch(q, q, m)
+        )
+    squares = nu.l1 ** 2 + nu.l2 ** 2
+    if base == "rho":
+        power = (t * xi) ** (lam.total - 2 * nu.l2)
+        expo = m * (2 * lam.l1 + 1 - nu.total)
+    elif base == "pi":
+        power = xi ** (lam.total - 2 * nu.l1)
+        expo = m * (nu.total - 2 * lam.l2 + 1)
+    elif base == "R":
+        power = (t * xi) ** (2 * lam.l2 - nu.total)
+        expo = 2 * lam.l2 ** 2 - 2 * (nu.total + 1) * lam.l2 + nu.total + squares
+    else:
+        power = xi ** (2 * lam.l1 - nu.total)
+        expo = 2 * lam.l1 ** 2 - 2 * (nu.total - 1) * lam.l1 - nu.total + squares
+    return (-ONE) ** m * power * ctx.qh(expo) * num / den
 
 
 def rho_diagonal(lam: Pair, ctx: QContext):
@@ -547,9 +457,6 @@ def _R_row_recurrence(lam: Pair, ctx: QContext) -> dict:
     return row
 
 
-_CLOSED = {"pi": _pi_entry, "rho": _rho_entry, "Q": _Q_entry, "R": _R_entry}
-
-
 def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") -> TransitionRow:
     """Row of a transition matrix over {nu inside lam}.
 
@@ -559,10 +466,10 @@ def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") 
     rows of the reflected label through the involution).
     """
     base = kind[:-1] if kind.endswith("t") else kind
-    if base not in _CLOSED:
+    if base not in ("pi", "rho", "Q", "R"):
         raise ValueError(f"unknown transition kind {kind!r}")
     if method == "closed":
-        entries = {nu: _CLOSED[base](lam, nu, ctx) for nu in pairs_under(lam)}
+        entries = {nu: _closed_entry(base, lam, nu, ctx) for nu in pairs_under(lam)}
     elif method == "recurrence":
         if base == "rho":
             entries = _rho_row_recurrence(lam, ctx)
@@ -597,22 +504,6 @@ def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") 
     return TransitionRow(lam=lam, kind=kind, entries=entries)
 
 
-def transition_rho(lam: Pair, ctx: QContext, method: str = "closed") -> TransitionRow:
-    return transition_row("rho", lam, ctx, method)
-
-
-def transition_pi(lam: Pair, ctx: QContext, method: str = "closed") -> TransitionRow:
-    return transition_row("pi", lam, ctx, method)
-
-
-def transition_R(lam: Pair, ctx: QContext, method: str = "closed") -> TransitionRow:
-    return transition_row("R", lam, ctx, method)
-
-
-def transition_Q(lam: Pair, ctx: QContext, method: str = "closed") -> TransitionRow:
-    return transition_row("Q", lam, ctx, method)
-
-
 # ---------------------------------------------------------------------------
 # Involutions and invariant difference operators
 # ---------------------------------------------------------------------------
@@ -630,64 +521,25 @@ def involution_V(p: Laurent2, ctx: QContext) -> Laurent2:
 _DIFF = Laurent2({(1, 0): ONE, (0, 1): -ONE})
 
 
-def _first_order(p: Laurent2, c1: Laurent2, c2: Laurent2, steps: int, ctx: QContext) -> Laurent2:
+def apply_shift(p: Laurent2, j: int, tag: str, ctx: QContext) -> Laurent2:
+    """First-order q-shift operator diagonal on basis(tag, .) in variable j.
+
+    Its eigenvalue on basis(tag, nu) is q^nu_j for the forward bases (p, pt)
+    and q^-nu_j for the backward ones (r, rt).
+    """
+    forward, a = _basis_param(tag, ctx)
+    b = a if forward else ONE / a
+    if j == 1:
+        c1 = Laurent2({(0, 1): -ONE, (1, 1): b})
+        c2 = Laurent2({(1, 0): ONE, (1, 1): -b})
+    elif j == 2:
+        c1 = Laurent2({(0, 0): -ONE / b, (1, 0): ONE})
+        c2 = Laurent2({(0, 0): ONE / b, (0, 1): -ONE})
+    else:
+        raise ValueError("j must be 1 or 2")
+    steps = 2 if forward else -2
     num = c1 * qshift(p, 0, steps, ctx) + c2 * qshift(p, 1, steps, ctx)
     return divide_exact(num, _DIFF)
-
-
-def apply_N(p: Laurent2, j: int, ctx: QContext) -> Laurent2:
-    """Forward-shift operator diagonal on the p basis with eigenvalue q^nu_j."""
-    xi = ctx.xi
-    if j == 1:
-        c1 = Laurent2({(0, 1): -ONE, (1, 1): ONE / xi})
-        c2 = Laurent2({(1, 0): ONE, (1, 1): -ONE / xi})
-    elif j == 2:
-        c1 = Laurent2({(0, 0): -xi, (1, 0): ONE})
-        c2 = Laurent2({(0, 0): xi, (0, 1): -ONE})
-    else:
-        raise ValueError("j must be 1 or 2")
-    return _first_order(p, c1, c2, 2, ctx)
-
-
-def apply_Q(p: Laurent2, j: int, ctx: QContext) -> Laurent2:
-    """Backward-shift operator diagonal on the r basis with eigenvalue q^-nu_j."""
-    a = ctx.t * ctx.xi
-    if j == 1:
-        c1 = Laurent2({(0, 1): -ONE, (1, 1): ONE / a})
-        c2 = Laurent2({(1, 0): ONE, (1, 1): -ONE / a})
-    elif j == 2:
-        c1 = Laurent2({(0, 0): -a, (1, 0): ONE})
-        c2 = Laurent2({(0, 0): a, (0, 1): -ONE})
-    else:
-        raise ValueError("j must be 1 or 2")
-    return _first_order(p, c1, c2, -2, ctx)
-
-
-def apply_Nt(p: Laurent2, j: int, ctx: QContext) -> Laurent2:
-    """Output-side partner of apply_N (diagonal on the tilded p basis)."""
-    if j == 1:
-        c1 = Laurent2({(0, 1): -ONE, (1, 1): ONE})
-        c2 = Laurent2({(1, 0): ONE, (1, 1): -ONE})
-    elif j == 2:
-        c1 = Laurent2({(0, 0): -ONE, (1, 0): ONE})
-        c2 = Laurent2({(0, 0): ONE, (0, 1): -ONE})
-    else:
-        raise ValueError("j must be 1 or 2")
-    return _first_order(p, c1, c2, 2, ctx)
-
-
-def apply_Qt(p: Laurent2, j: int, ctx: QContext) -> Laurent2:
-    """Output-side partner of apply_Q (diagonal on the tilded r basis)."""
-    a = ctx.t ** 2
-    if j == 1:
-        c1 = Laurent2({(0, 1): -ONE, (1, 1): ONE / a})
-        c2 = Laurent2({(1, 0): ONE, (1, 1): -ONE / a})
-    elif j == 2:
-        c1 = Laurent2({(0, 0): -a, (1, 0): ONE})
-        c2 = Laurent2({(0, 0): a, (0, 1): -ONE})
-    else:
-        raise ValueError("j must be 1 or 2")
-    return _first_order(p, c1, c2, -2, ctx)
 
 
 def apply_M_identified(p: Laurent2, ctx: QContext) -> Laurent2:

@@ -127,3 +127,40 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text())
     assert set(payload) == {"0,0", "0,1", "1,1"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "cpoly", "--s", "2"],
+        ["compute", "cpoly", "--s", "1/0"],
+        ["compute", "cpoly", "--g", "0"],
+        ["compute", "cpoly", "--n", "-1"],
+        ["compute", "cpoly", "--beta", "abc"],
+        ["compute", "basis", "--nu", "3,1"],
+        ["compute", "macdonald", "--lam", "x"],
+        ["factorize", "--lam", "1,0"],
+        ["verify", "qpoly", "--s", "abc"],
+        ["verify", "numkernel", "--quad-points", "10"],
+    ],
+)
+def test_bad_flag_value_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("qsov: error: ")
+
+
+def test_negative_lmax_is_usage_error(capsys):
+    # a negative bound leaves the label grid empty, which must not read as a pass
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "qpoly", "--lmax", "-1"])
+    assert exc.value.code == 2
+    assert "--lmax" in capsys.readouterr().err
+    code, out = run_cli(
+        capsys, "verify", "qpoly", "--lmax", "0", "--s", "1/2", "--g", "1", "--xi", "1", "--json"
+    )
+    assert code == 0
+    assert any(case["id"].startswith("onevar[") for case in json.loads(out)["cases"])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsov import macdonald, sov
 from qsov.exact import Laurent2, Pair, QContext, frac, random_symmetric
@@ -24,6 +26,10 @@ def test_basis_elements():
     assert rt01 == expect
     for tag in sov.BASIS_TAGS:
         assert sov.basis(tag, Pair(-1, 2), CTX).is_symmetric()
+    with pytest.raises(ValueError):
+        sov.basis("q", Pair(0, 1), CTX)
+    with pytest.raises(ValueError):
+        sov.apply_shift(Laurent2.one(), 1, "q", CTX)
 
 
 def test_expand_round_trip():
@@ -177,10 +183,10 @@ def test_shift_operator_eigenvalues(ctx):
         ptb = sov.basis("pt", nu, ctx)
         rtb = sov.basis("rt", nu, ctx)
         for j, e in ((1, nu.l1), (2, nu.l2)):
-            assert sov.apply_N(pb, j, ctx) == pb * ctx.q ** e
-            assert sov.apply_Q(rb, j, ctx) == rb * ctx.q ** (-e)
-            assert sov.apply_Nt(ptb, j, ctx) == ptb * ctx.q ** e
-            assert sov.apply_Qt(rtb, j, ctx) == rtb * ctx.q ** (-e)
+            assert sov.apply_shift(pb, j, "p", ctx) == pb * ctx.q ** e
+            assert sov.apply_shift(rb, j, "r", ctx) == rb * ctx.q ** (-e)
+            assert sov.apply_shift(ptb, j, "pt", ctx) == ptb * ctx.q ** e
+            assert sov.apply_shift(rtb, j, "rt", ctx) == rtb * ctx.q ** (-e)
 
 
 def test_shift_operator_intertwining_and_commutation():
@@ -188,20 +194,20 @@ def test_shift_operator_intertwining_and_commutation():
     for _ in range(3):
         p = random_symmetric(rng, degree=3, terms=3)
         for j in (1, 2):
-            assert sov.apply_M(sov.apply_N(p, j, CTX), CTX) == sov.apply_Nt(
-                sov.apply_M(p, CTX), j, CTX
+            assert sov.apply_M(sov.apply_shift(p, j, "p", CTX), CTX) == sov.apply_shift(
+                sov.apply_M(p, CTX), j, "pt", CTX
             )
-            assert sov.apply_M(sov.apply_Q(p, j, CTX), CTX) == sov.apply_Qt(
-                sov.apply_M(p, CTX), j, CTX
+            assert sov.apply_M(sov.apply_shift(p, j, "r", CTX), CTX) == sov.apply_shift(
+                sov.apply_M(p, CTX), j, "rt", CTX
             )
             assert sov.apply_M_identified(
-                sov.apply_N(p, j, CTX), CTX
-            ) == sov.apply_N(sov.apply_M_identified(p, CTX), j, CTX)
-        assert sov.apply_N(sov.apply_N(p, 2, CTX), 1, CTX) == sov.apply_N(
-            sov.apply_N(p, 1, CTX), 2, CTX
+                sov.apply_shift(p, j, "p", CTX), CTX
+            ) == sov.apply_shift(sov.apply_M_identified(p, CTX), j, "p", CTX)
+        assert sov.apply_shift(sov.apply_shift(p, 2, "p", CTX), 1, "p", CTX) == sov.apply_shift(
+            sov.apply_shift(p, 1, "p", CTX), 2, "p", CTX
         )
-        assert sov.apply_Q(sov.apply_Q(p, 2, CTX), 1, CTX) == sov.apply_Q(
-            sov.apply_Q(p, 1, CTX), 2, CTX
+        assert sov.apply_shift(sov.apply_shift(p, 2, "r", CTX), 1, "r", CTX) == sov.apply_shift(
+            sov.apply_shift(p, 1, "r", CTX), 2, "r", CTX
         )
 
 
@@ -212,3 +218,35 @@ def test_separating_image_fields():
     assert image.c == sov.normalization_c(lam, CTX)
     assert image.poly == sov.f_tensor(image.f) * image.c
     assert image.poly.is_symmetric()
+
+
+@st.composite
+def off_grid_contexts(draw):
+    """s = a/b with b <= 11, g <= 3, xi negative or not an integer: off the suites' grid."""
+    den = draw(st.integers(2, 11))
+    s = frac(draw(st.integers(1, den - 1)), den)
+    xi = draw(
+        st.builds(frac, st.integers(-9, 9).filter(bool), st.integers(1, 7)).filter(
+            lambda v: v < 0 or v.denominator > 1
+        )
+    )
+    return QContext(s=s, g=draw(st.integers(1, 3)), xi=xi)
+
+
+labels = st.builds(
+    lambda l1, width: Pair(l1, l1 + width), st.integers(-5, 2), st.integers(0, 3)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ctx=off_grid_contexts(), nu=labels)
+def test_basis_table_properties(ctx, nu):
+    for tag in sov.BASIS_TAGS:
+        b = sov.basis(tag, nu, ctx)
+        assert sov._leading(tag, nu, ctx) == b.coeff(nu.l1, nu.l2)
+        for j, e in ((1, nu.l1), (2, nu.l2)):
+            eigenvalue = ctx.q ** (e if tag in ("p", "pt") else -e)
+            assert sov.apply_shift(b, j, tag, ctx) == b * eigenvalue
+    for kind in ("rho", "pi", "Q", "R", "rhot", "pit", "Qt", "Rt"):
+        closed = sov.transition_row(kind, nu, ctx, "closed")
+        assert closed.entries == sov.transition_row(kind, nu, ctx, "recurrence").entries

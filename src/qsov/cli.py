@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import macdonald, numkernel, qpoly, sov, suites
@@ -27,6 +28,9 @@ def _inputs(args) -> dict:
     if args.command == "verify":
         if args.lmax < 0:
             raise ValueError("--lmax must be nonnegative; a negative bound checks no label")
+        max_workers = 4 * (os.cpu_count() or 1)
+        if not 1 <= args.workers <= max_workers:
+            raise ValueError(f"--workers must lie in 1..{max_workers} (4 per CPU)")
         grid = {
             "s_values": tuple(args.s) if args.s else suites.DEFAULT_S,
             "g_values": tuple(args.g) if args.g else suites.DEFAULT_G,
@@ -151,6 +155,39 @@ def cmd_verify(args, grid: dict) -> int:
     return 0 if report["status"] == "pass" else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose value-taking flags accept a next token that begins with '-'.
+
+    argparse reads '-1,2' or '-5/7' as an option rather than as the value of
+    '--lam' or '--xi'; such a token is joined to its flag ('--lam=-1,2')
+    before parsing.  Subparsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self._value_flags: set[str] = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.nargs is None:
+            self._value_flags.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = list(sys.argv[1:] if args is None else args)
+        joined = []
+        while tokens:
+            tok = tokens.pop(0)
+            if tok == "--":
+                joined += [tok, *tokens]
+                break
+            value_follows = tokens and tokens[0].startswith("-") and tokens[0] != "--"
+            if tok in self._value_flags and value_follows:
+                tok = f"{tok}={tokens.pop(0)}"
+            joined.append(tok)
+        return super().parse_known_args(joined, namespace)
+
+
 def _add_context_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--s", default="1/2", help="square root of the base q (rational)")
     parser.add_argument("--g", type=int, default=1, help="positive integer coupling")
@@ -163,7 +200,7 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsov",
         description="Exact separation machinery for two-variable symmetric "
         "Laurent polynomials, with numeric kernel verification.",

@@ -462,6 +462,12 @@ class Laurent2:
         res.c = {(-a, -b): v * cnum ** (a + b) for (a, b), v in self.c.items()}
         return res
 
+    def shifted(self, d1: int, d2: int) -> "Laurent2":
+        """x1^d1 x2^d2 * self: moves every exponent and shares the coefficient objects."""
+        res = Laurent2()
+        res.c = {(a + d1, b + d2): v for (a, b), v in self.c.items()}
+        return res
+
     def swap(self) -> "Laurent2":
         res = Laurent2()
         res.c = {(b, a): v for (a, b), v in self.c.items()}
@@ -613,10 +619,3 @@ def random_symmetric(rng, degree=6, terms=5) -> Laurent2:
         p = p + Laurent2({(a, b): v, (b, a): v} if a != b else {(a, b): v})
     return p
 
-
-def monomials_of(p: Laurent2) -> list[Pair]:
-    """Sorted-pair supports of a symmetric polynomial, without duplicates."""
-    out = set()
-    for (a, b) in p.c:
-        out.add(Pair(min(a, b), max(a, b)))
-    return sorted(out, key=lambda nu: (nu.l1, nu.l2))

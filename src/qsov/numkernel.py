@@ -84,23 +84,33 @@ def qpoch_n(a, q: float, n: int):
     return out if arr.shape else complex(out)
 
 
+#: Factors per numpy block in qprod_ratio; bounds its scratch arrays to a few kB.
+_RATIO_BLOCK = 1024
+
+
 def qprod_ratio(a: complex, b: complex, q: float,
                 cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """(a;q)_inf / (b;q)_inf computed factor-by-factor.
+    """(a;q)_inf / (b;q)_inf as a product of factor ratios, one block at a time.
 
     Stable when the individual products overflow (large arguments with q
-    close to 1): each factor ratio tends to 1.
+    close to 1): each factor ratio tends to 1.  The powers q^k are running
+    products and the ratios are multiplied in order, as in a
+    factor-by-factor loop, so real arguments give that loop's result to
+    the last bit.
     """
     amax = max(abs(a), abs(b))
     K = _trunc_order(amax, q, cfg.prod_cutoff)
     out = 1.0 + 0.0j
     qk = 1.0
-    for _ in range(K):
-        den = 1.0 - b * qk
-        if den == 0:
+    for start in range(0, K, _RATIO_BLOCK):
+        steps = np.full(min(_RATIO_BLOCK, K - start), q)
+        steps[0] = qk
+        qks = np.cumprod(steps)
+        den = 1.0 - b * qks
+        if not np.all(den):
             raise ContourUnsupported("pole in product ratio")
-        out *= (1.0 - a * qk) / den
-        qk *= q
+        out = complex(np.prod((1.0 - a * qks) / den, dtype=complex, initial=out))
+        qk = qks[-1] * q
     return out
 
 

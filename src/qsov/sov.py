@@ -22,7 +22,6 @@ from .exact import (
     QContext,
     ZERO,
     divide_exact,
-    monomials_of,
     pairs_under,
     qbinomial,
     qpochhammer,
@@ -82,17 +81,40 @@ def _basis_param(tag: str, ctx: QContext):
 
 
 @lru_cache(maxsize=None)
+def _factor_table(tag: str, ctx: QContext) -> list:
+    """[factor(0), factor(1), ...] for (tag, ctx), grown by _factor; entries are never mutated."""
+    return [Laurent2.one()]
+
+
+def _factor(tag: str, width: int, ctx: QContext) -> Laurent2:
+    """prod_{k<width} (1 - a q^k x1^e)(1 - a q^k x2^e), e = +1 forward, -1 backward.
+
+    The product depends on the label only through its width; each new width
+    multiplies the previous one by the two linear factors of k = width - 1.
+    """
+    table = _factor_table(tag, ctx)
+    if len(table) <= width:
+        forward, a = _basis_param(tag, ctx)
+        e = 1 if forward else -1
+        q = ctx.q
+        for k in range(len(table) - 1, width):
+            c = a * q ** k
+            table.append(table[k] * _linear(c, e, 0) * _linear(c, 0, e))
+    return table[width]
+
+
+@lru_cache(maxsize=None)
 def basis(tag: str, nu: Pair, ctx: QContext) -> Laurent2:
-    """Basis element for the given tag; results are cached and must not be mutated."""
-    forward, a = _basis_param(tag, ctx)
-    e = 1 if forward else -1
+    """Basis element: the per-width factor of tag shifted by x1^anchor x2^anchor.
+
+    The anchor is nu1 for the forward bases (p, pt) and nu2 for the backward
+    ones (r, rt); the factor is shared by every label of the same width, and
+    the result shares its coefficient objects.  Results are cached and must
+    not be mutated.
+    """
+    forward, _ = _basis_param(tag, ctx)
     anchor = nu.l1 if forward else nu.l2
-    q = ctx.q
-    out = Laurent2.term(anchor, anchor)
-    for k in range(nu.width):
-        c = a * q ** k
-        out = out * _linear(c, e, 0) * _linear(c, 0, e)
-    return out
+    return _factor(tag, nu.width, ctx).shifted(anchor, anchor)
 
 
 def _leading(tag: str, nu: Pair, ctx: QContext):
@@ -102,37 +124,54 @@ def _leading(tag: str, nu: Pair, ctx: QContext):
     return (-a) ** m * ctx.q ** (m * (m - 1) // 2)
 
 
+def _add_scaled(acc: dict, p: Laurent2, c) -> None:
+    """acc += c * p on a coefficient dict, dropping entries that reach zero; p is not touched."""
+    for k, v in p.c.items():
+        w = acc.get(k, ZERO) + c * v
+        if w:
+            acc[k] = w
+        else:
+            acc.pop(k, None)
+
+
+def _pivot(support) -> Pair:
+    """Inclusion-maximal pair of a symmetric support with the largest (l2, l1).
+
+    That pair is (lo, top): top is the largest exponent in the support and
+    lo the smallest exponent that shares a monomial with top.
+    """
+    top, neg_lo = max((b, -a) if a <= b else (a, -b) for a, b in support)
+    return Pair(-neg_lo, top)
+
+
 def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> BasisExpansion:
     """Unique finite expansion of a symmetric polynomial in the tagged basis.
 
-    Peels off an inclusion-maximal support pair at each step (ties broken by
-    largest (l2, l1)), subtracting the matching basis element; every new
-    monomial this introduces has strictly smaller width, so the loop
-    terminates.
+    Peels off the _pivot pair of the remaining support at each step,
+    subtracting the matching basis element; every new monomial this
+    introduces has strictly smaller width, so the loop terminates.
     """
     if not p.is_symmetric():
         raise ValueError("expansion requires a symmetric polynomial")
     coeffs: dict = {}
-    work = p
+    work = dict(p.c)
     cap = 4 * (len(p.c) + 4) ** 2 + 64
     for _ in range(cap):
         if not work:
             return BasisExpansion(tag=tag, coeffs={k: v for k, v in coeffs.items() if v != 0})
-        pairs = monomials_of(work)
-        maximal = [
-            m for m in pairs if not any(o != m and o.contains(m) for o in pairs)
-        ]
-        pick = max(maximal, key=lambda nu: (nu.l2, nu.l1))
-        c = work.coeff(pick.l1, pick.l2) / _leading(tag, pick, ctx)
+        pick = _pivot(work)
+        c = work.get((pick.l1, pick.l2), ZERO) / _leading(tag, pick, ctx)
         coeffs[pick] = coeffs.get(pick, ZERO) + c
-        work = work - basis(tag, pick, ctx) * c
+        _add_scaled(work, basis(tag, pick, ctx), -c)
     raise NonTerminating(f"basis expansion did not terminate (tag={tag})")
 
 
 def reassemble(exp: BasisExpansion, ctx: QContext) -> Laurent2:
-    out = Laurent2()
+    acc: dict = {}
     for nu, c in exp.coeffs.items():
-        out = out + basis(exp.tag, nu, ctx) * c
+        _add_scaled(acc, basis(exp.tag, nu, ctx), c)
+    out = Laurent2()
+    out.c = acc
     return out
 
 

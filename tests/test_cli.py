@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -164,3 +165,43 @@ def test_negative_lmax_is_usage_error(capsys):
     )
     assert code == 0
     assert any(case["id"].startswith("onevar[") for case in json.loads(out)["cases"])
+
+
+@pytest.mark.parametrize(
+    "argv, joined",
+    [
+        (["compute", "transition", "--lam", "-1,2"], ["compute", "transition", "--lam=-1,2"]),
+        (["compute", "basis", "--nu", "-3,1"], ["compute", "basis", "--nu=-3,1"]),
+        (["compute", "basis", "--xi", "-5/7"], ["compute", "basis", "--xi=-5/7"]),
+        (["factorize", "--lam", "-2,3"], ["factorize", "--lam=-2,3"]),
+    ],
+)
+def test_negative_flag_value_without_equals(capsys, argv, joined):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    code_eq, out_eq = run_cli(capsys, *joined)
+    assert (code, out) == (code_eq, out_eq)
+
+
+def test_negative_flag_values_reach_the_computation():
+    args = cli.build_parser().parse_args(
+        ["compute", "basis", "--nu", "-3,1", "--xi", "-5/7", "--lam", "-1,2", "--n", "-0"]
+    )
+    assert (args.nu, args.xi, args.lam, args.n) == ("-3,1", "-5/7", "-1,2", 0)
+    # store_true flags take no value, so a following '-...' token stays an option
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["verify", "qpoly", "--json", "-1"])
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", str(4 * (os.cpu_count() or 1) + 1)])
+def test_workers_out_of_range_is_usage_error(capsys, monkeypatch, workers):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_suite must not start")
+
+    monkeypatch.setattr(cli.suites, "run_suite", no_run)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "qpoly", "--workers", workers])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("qsov: error: --workers")

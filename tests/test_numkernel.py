@@ -43,6 +43,61 @@ def test_qprod_ratio_matches_quotient():
     assert abs(nk.qprod_ratio(a, b, q) - direct) < 1e-13
 
 
+def _qprod_ratio_scalar(a, b, q, cfg=CFG):
+    """Reference: the factor-by-factor loop, one ratio per step."""
+    K = nk._trunc_order(max(abs(a), abs(b)), q, cfg.prod_cutoff)
+    out, qk = 1.0 + 0.0j, 1.0
+    for _ in range(K):
+        out *= (1.0 - a * qk) / (1.0 - b * qk)
+        qk *= q
+    return out
+
+
+def _classical_limit_pairs(q, r, y):
+    """The four (a, b) pairs lambda_ratio forms for each of the two shifts of apply_I_minus1."""
+    nu = math.sqrt(q)
+    pairs = []
+    for y2 in (nu * y, y / nu):
+        pairs += [
+            (nu * r * y, nu * r * y2),
+            (nu * r / y, nu * r / y2),
+            (nu * y / r, nu * y2 / r),
+            (nu / (r * y), nu / (r * y2)),
+        ]
+    return pairs
+
+
+@pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+def test_qprod_ratio_matches_scalar_loop(q):
+    # complex arguments, as classical_limit_checks passes them, and one pair off the real axis
+    pairs = _classical_limit_pairs(q, 0.3 + 0.0j, 0.5 + 0.0j) + [(0.4 + 0.2j, 0.38 + 0.21j)]
+    for a, b in pairs:
+        ref = _qprod_ratio_scalar(a, b, q)
+        val = nk.qprod_ratio(a, b, q)
+        assert isinstance(val, complex)
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+    # real arguments: same powers, same ratios, same order of products
+    for a, b in _classical_limit_pairs(q, 0.3, 0.5):
+        assert nk.qprod_ratio(a, b, q) == _qprod_ratio_scalar(a, b, q)
+
+
+@pytest.mark.parametrize("block", [nk._RATIO_BLOCK, 2])
+@pytest.mark.parametrize("b", [1.0, 4.0])
+def test_qprod_ratio_pole(monkeypatch, block, b):
+    # 1 - b q^k vanishes exactly at k = 0 (b = 1) and k = 2 (b = 4, q = 1/2);
+    # with two factors per block, k = 2 opens the second block
+    monkeypatch.setattr(nk, "_RATIO_BLOCK", block)
+    with pytest.raises(ContourUnsupported, match="pole"):
+        nk.qprod_ratio(0.3, b, 0.5)
+
+
+def test_qprod_ratio_block_size_does_not_change_result(monkeypatch):
+    pairs = _classical_limit_pairs(0.99, 0.3, 0.5) + _classical_limit_pairs(0.99, 0.3 + 0.1j, 0.5)
+    ref = [nk.qprod_ratio(a, b, 0.99) for a, b in pairs]
+    monkeypatch.setattr(nk, "_RATIO_BLOCK", 7)
+    assert [nk.qprod_ratio(a, b, 0.99) for a, b in pairs] == ref
+
+
 def test_aw_integral_zero_params():
     val = nk.aw_integral(nk.AWParams(0, 0, 0, 0), 0.25)
     assert abs(val - 2.0 / nk.qprod_inf(0.25, 0.25)) < CFG.tol_tight

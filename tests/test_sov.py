@@ -250,3 +250,101 @@ def test_basis_table_properties(ctx, nu):
     for kind in ("rho", "pi", "Q", "R", "rhot", "pit", "Qt", "Rt"):
         closed = sov.transition_row(kind, nu, ctx, "closed")
         assert closed.entries == sov.transition_row(kind, nu, ctx, "recurrence").entries
+
+
+def _direct_basis(tag, nu, ctx):
+    """Reference: the anchor monomial times all 2*width linear factors, multiplied out."""
+    forward, a = sov._basis_param(tag, ctx)
+    e = 1 if forward else -1
+    anchor = nu.l1 if forward else nu.l2
+    out = Laurent2.term(anchor, anchor)
+    for k in range(nu.width):
+        c = a * ctx.q ** k
+        out = out * sov._linear(c, e, 0) * sov._linear(c, 0, e)
+    return out
+
+
+def _same_terms(p, ref):
+    """Equal coefficients in the same key order, so derived outputs stay bit-for-bit."""
+    return list(p.c.items()) == list(ref.c.items())
+
+
+wide_labels = st.builds(
+    lambda l1, width: Pair(l1, l1 + width), st.integers(-5, 2), st.integers(0, 6)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ctx=off_grid_contexts(), nu=wide_labels)
+def test_basis_is_shifted_width_factor(ctx, nu):
+    for tag in sov.BASIS_TAGS:
+        assert _same_terms(sov.basis(tag, nu, ctx), _direct_basis(tag, nu, ctx))
+
+
+def test_basis_cold_cache_any_order():
+    sov.basis.cache_clear()
+    sov._factor_table.cache_clear()
+    ctx3 = QContext(s=frac(3, 5), g=3, xi=frac(-5, 7))
+    # wide before narrow, contexts interleaved, widths skipped and revisited
+    order = [
+        (CTX, Pair(-2, 7)), (CTX2, Pair(0, 1)), (CTX, Pair(1, 3)), (ctx3, Pair(-4, 4)),
+        (CTX2, Pair(-3, 5)), (CTX, Pair(0, 0)), (ctx3, Pair(2, 3)), (CTX, Pair(-6, 4)),
+        (CTX2, Pair(1, 2)), (ctx3, Pair(-1, 7)),
+    ]
+    for ctx, nu in order:
+        for tag in sov.BASIS_TAGS:
+            assert _same_terms(sov.basis(tag, nu, ctx), _direct_basis(tag, nu, ctx))
+    assert len(sov._factor_table("p", CTX)) == 11
+    assert len(sov._factor_table("rt", CTX2)) == 9
+
+
+def _inclusion_maximal_pick(p):
+    """Reference pivot: scan every support pair for one that contains it."""
+    pairs = {Pair(min(a, b), max(a, b)) for a, b in p.c}
+    maximal = [m for m in pairs if not any(o != m and o.contains(m) for o in pairs)]
+    return max(maximal, key=lambda nu: (nu.l2, nu.l1))
+
+
+def test_one_pass_pivot_matches_inclusion_scan():
+    rng = random.Random(17)
+    for _ in range(300):
+        p = random_symmetric(rng, degree=rng.randint(0, 7), terms=rng.randint(1, 8))
+        if p:
+            assert sov._pivot(p.c) == _inclusion_maximal_pick(p)
+    for tag in sov.BASIS_TAGS:
+        # the pivot of every intermediate remainder of an expansion
+        work = sov.basis(tag, Pair(-2, 3), CTX) + sov.basis(tag, Pair(0, 4), CTX) * 3
+        while work:
+            pick = sov._pivot(work.c)
+            assert pick == _inclusion_maximal_pick(work)
+            c = work.coeff(pick.l1, pick.l2) / sov._leading(tag, pick, CTX)
+            work = work - sov.basis(tag, pick, CTX) * c
+
+
+@pytest.mark.parametrize("ctx", CTXS)
+def test_maps_leave_cached_bases_untouched(ctx):
+    labels = [Pair(a, b) for a in range(-6, 7) for b in range(a, 7)]
+    before = {
+        (tag, nu): list(sov.basis(tag, nu, ctx).c.items())
+        for tag in sov.BASIS_TAGS for nu in labels
+    }
+    factors = {
+        tag: [list(f.c.items()) for f in sov._factor_table(tag, ctx)] for tag in sov.BASIS_TAGS
+    }
+
+    def assert_untouched():
+        for (tag, nu), terms in before.items():
+            assert list(sov.basis(tag, nu, ctx).c.items()) == terms, (tag, nu)
+        for tag, table in factors.items():
+            grown = sov._factor_table(tag, ctx)[: len(table)]
+            assert [list(f.c.items()) for f in grown] == table, tag
+
+    rng = random.Random(21)
+    for _ in range(4):
+        p = random_symmetric(rng, degree=5, terms=5)
+        image = sov.apply_M(p, ctx)
+        assert_untouched()
+        assert sov.apply_M_inverse(image, ctx) == p
+        assert_untouched()
+        assert sov.apply_M_via_r(p, ctx) == image
+        assert_untouched()

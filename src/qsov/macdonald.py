@@ -9,6 +9,7 @@ equation whose spectral parameters are the H-eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import IdentityViolation, NotPolynomial, PoleError
 from .exact import (
@@ -71,8 +72,13 @@ def u_coeff(lam: Pair, nu: Pair, ctx: QContext):
     )
 
 
+@lru_cache(maxsize=None)
 def macdonald_poly(lam: Pair, ctx: QContext) -> MacdonaldPoly:
-    """P_lam as the triangular monomial-basis expansion (unit leading term)."""
+    """P_lam as the triangular monomial-basis expansion (unit leading term).
+
+    Cached per (lam, ctx); the result and its .poly are shared and must not
+    be mutated.
+    """
     total = lam.total
     poly = Laurent2()
     for nu1 in range(lam.l1, total // 2 + 1):

@@ -325,8 +325,8 @@ def mab_eigenpoly_report(alpha: float, beta: float, r: complex, y: complex, q: f
                     ref = r_factor_image(j1, j2, k1, k2, alpha, beta, r, y, q)
                     worst = max(worst, abs(val - ref) / max(abs(ref), 1.0))
                     cases += 1
-    report = {"cases": cases, "max_err": worst, "tol": 1e-8}
-    if worst > 1e-8:
+    report = {"cases": cases, "max_err": worst, "tol": cfg.tol_tight}
+    if worst > cfg.tol_tight:
         raise ToleranceExceeded(f"kernel action mismatch: {report}")
     return report
 

@@ -179,8 +179,9 @@ def reassemble(exp: BasisExpansion, ctx: QContext) -> Laurent2:
 # Diagonal action and the separating map
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _multiplier(e: int, m: int, ctx: QContext):
-    """t^-e xi^(2e) (t;q)_m / (t^2;q)_m."""
+    """t^-e xi^(2e) (t;q)_m / (t^2;q)_m, cached per (e, m, ctx)."""
     return (
         ctx.t ** (-e)
         * ctx.xi ** (2 * e)
@@ -496,51 +497,58 @@ def _R_row_recurrence(lam: Pair, ctx: QContext) -> dict:
     return row
 
 
+@lru_cache(maxsize=None)
+def _base_row(base: str, lam: Pair, ctx: QContext, method: str) -> dict:
+    """Nonzero entries of the rho, pi, Q or R row of lam, built by one route.
+
+    Cached per (base, lam, ctx, method), so the closed and recurrence routes
+    never read each other's rows.  pi and Q rows by recurrence come from the
+    rho and R rows of the reflected label through the involution.  The dict
+    is never mutated; transition_row hands out copies.
+    """
+    if method == "closed":
+        entries = {nu: _closed_entry(base, lam, nu, ctx) for nu in pairs_under(lam)}
+    elif base == "rho":
+        entries = _rho_row_recurrence(lam, ctx)
+    elif base == "R":
+        entries = _R_row_recurrence(lam, ctx)
+    else:
+        bar = _base_row("rho" if base == "pi" else "R", lam.bar(), ctx, method)
+        scale = ctx.t * ctx.xi ** 2
+        if base == "pi":
+            entries = {nu.bar(): v * scale ** (lam.total + 2 * nu.l2) for nu, v in bar.items()}
+        else:
+            entries = {nu.bar(): v * scale ** (2 * lam.l1 + nu.total) for nu, v in bar.items()}
+    return {nu: v for nu, v in entries.items() if v != 0}
+
+
 def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") -> TransitionRow:
-    """Row of a transition matrix over {nu inside lam}.
+    """Row of a transition matrix over {nu inside lam}, zero entries dropped.
 
     kind is one of pi, rho, Q, R or the tilded variants pit, rhot, Qt, Rt;
     method 'closed' uses the product formulas, 'recurrence' builds the row
     from the diagonal initial condition (pi/Q rows are obtained from rho/R
-    rows of the reflected label through the involution).
+    rows of the reflected label through the involution).  The untilded row
+    is built once per (kind, lam, ctx, method) and cached by _base_row; a
+    tilded row scales it by mu_p(nu), mu_r(nu), 1/mu_p(lam) or 1/mu_r(lam),
+    whose multipliers _multiplier caches.  entries is a fresh dict on every
+    call, so callers may change it without touching the caches.
     """
     base = kind[:-1] if kind.endswith("t") else kind
     if base not in ("pi", "rho", "Q", "R"):
         raise ValueError(f"unknown transition kind {kind!r}")
-    if method == "closed":
-        entries = {nu: _closed_entry(base, lam, nu, ctx) for nu in pairs_under(lam)}
-    elif method == "recurrence":
-        if base == "rho":
-            entries = _rho_row_recurrence(lam, ctx)
-        elif base == "R":
-            entries = _R_row_recurrence(lam, ctx)
-        elif base == "pi":
-            bar = _rho_row_recurrence(lam.bar(), ctx)
-            scale = ctx.t * ctx.xi ** 2
-            entries = {
-                nu.bar(): bar[nu] * scale ** (lam.total + 2 * nu.l2) for nu in bar
-            }
-        else:  # Q from R of the reflected label
-            bar = _R_row_recurrence(lam.bar(), ctx)
-            scale = ctx.t * ctx.xi ** 2
-            entries = {
-                nu.bar(): bar[nu] * scale ** (2 * lam.l1 + nu.total) for nu in bar
-            }
-    else:
+    if method not in ("closed", "recurrence"):
         raise ValueError("method must be 'closed' or 'recurrence'")
-    if kind.endswith("t"):
-        if base == "pi":
-            entries = {nu: v * mu_p(nu, ctx) for nu, v in entries.items()}
-        elif base == "rho":
-            entries = {nu: v * mu_r(nu, ctx) for nu, v in entries.items()}
-        elif base == "Q":
-            scale = ONE / mu_p(lam, ctx)
-            entries = {nu: v * scale for nu, v in entries.items()}
-        else:
-            scale = ONE / mu_r(lam, ctx)
-            entries = {nu: v * scale for nu, v in entries.items()}
-    entries = {nu: v for nu, v in entries.items() if v != 0}
-    return TransitionRow(lam=lam, kind=kind, entries=entries)
+    row = _base_row(base, lam, ctx, method)
+    if base == kind:
+        return TransitionRow(lam=lam, kind=kind, entries=dict(row))
+    if base in ("pi", "rho"):
+        mu = mu_p if base == "pi" else mu_r
+        entries = {nu: v * mu(nu, ctx) for nu, v in row.items()}
+    else:
+        scale = ONE / (mu_p(lam, ctx) if base == "Q" else mu_r(lam, ctx))
+        entries = {nu: v * scale for nu, v in row.items()}
+    return TransitionRow(lam=lam, kind=kind, entries={nu: v for nu, v in entries.items() if v != 0})
 
 
 # ---------------------------------------------------------------------------

@@ -348,7 +348,7 @@ def case_mxi_vs_exact(s: str, g: int, xi: str, cfg: nk.NumericConfig):
         for val, (image, mu) in zip(vals, images):
             ref = complex(image.evaluate(y1, y2)) * mu
             worst = max(worst, abs(val - ref) / max(abs(ref), 1.0))
-    if worst > 1e-8:
+    if worst > cfg.tol_tight:
         raise AssertionError(f"integral operator disagrees with the algebraic map: {worst}")
     return worst
 

@@ -205,3 +205,16 @@ def test_workers_out_of_range_is_usage_error(capsys, monkeypatch, workers):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("qsov: error: --workers")
+
+
+def test_fork_pool_matches_serial(capsys):
+    reports = []
+    for workers in ("1", "2"):
+        code, out = run_cli(
+            capsys, "verify", "transitions", "--lmax", "2", "--json", "--workers", workers
+        )
+        assert code == 0
+        report = json.loads(out)
+        del report["elapsed_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qsov import macdonald, qpoly
+from qsov import macdonald, qpoly, sov, suites
 from qsov.errors import IdentityViolation
 from qsov.exact import Laurent2, Pair, QContext, frac, random_symmetric
 
@@ -118,3 +118,25 @@ def test_even_total_product_shape():
                     half + e, half - e, c.coeff(w - 2 * k) * scale
                 )
             assert build == macdonald.macdonald_poly(lam, ctx).poly
+
+
+def test_cached_polys_survive_their_callers():
+    labels = [Pair(a, b) for a in range(-3, 3) for b in range(a, 3)]
+    for ctx in (CTX, CTX2):
+        cached = {lam: macdonald.macdonald_poly(lam, ctx) for lam in labels}
+        before = {lam: list(mp.poly.c.items()) for lam, mp in cached.items()}
+
+        def assert_untouched():
+            for lam, mp in cached.items():
+                assert macdonald.macdonald_poly(lam, ctx) is mp, lam
+                assert list(mp.poly.c.items()) == before[lam], lam
+
+        for lam in (Pair(-1, 2), Pair(0, 2), Pair(-2, 1)):
+            suites.case_reassembly(ctx, lam)
+            assert_untouched()
+            suites.case_mutual_inverse(ctx, lam)
+            assert_untouched()
+            macdonald.check_eigen(lam, ctx)
+            assert_untouched()
+            sov.separate(lam, ctx)
+            assert_untouched()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qsov import numkernel as nk
-from qsov import sov
+from qsov import sov, suites
 from qsov.errors import ContourUnsupported, ToleranceExceeded, TrendViolation
 from qsov.exact import Pair, QContext, frac
 
@@ -141,6 +141,24 @@ def test_mab_constant_and_eigenaction():
     assert abs(val - 1.0) < CFG.tol_tight
     rep = nk.mab_eigenpoly_report(0.7, 1.1, r, y, 0.25)
     assert rep["max_err"] < 1e-8
+
+
+def test_mab_eigenpoly_report_uses_tol_tight():
+    y, r = cmath.exp(-0.9j), cmath.exp(0.4j)
+    rep = nk.mab_eigenpoly_report(0.7, 1.1, r, y, 0.25, 3, CFG)
+    assert rep["tol"] == CFG.tol_tight
+    assert 0 < rep["max_err"] < CFG.tol_tight
+    strict = nk.NumericConfig(tol_tight=rep["max_err"] / 2)
+    with pytest.raises(ToleranceExceeded):
+        nk.mab_eigenpoly_report(0.7, 1.1, r, y, 0.25, 3, strict)
+
+
+def test_map_vs_integral_case_uses_tol_tight():
+    worst = suites.case_mxi_vs_exact("1/2", 1, "3/2", CFG)
+    assert 0 < worst < CFG.tol_tight
+    strict = nk.NumericConfig(tol_tight=worst / 2)
+    with pytest.raises(AssertionError, match="disagrees with the algebraic map"):
+        suites.case_mxi_vs_exact("1/2", 1, "3/2", strict)
 
 
 def test_mab_contour_guard():

@@ -252,6 +252,15 @@ def test_basis_table_properties(ctx, nu):
         assert closed.entries == sov.transition_row(kind, nu, ctx, "recurrence").entries
 
 
+@settings(max_examples=100, deadline=None)
+@given(ctx=off_grid_contexts(), lam=labels)
+def test_factorization_and_inverses_off_grid(ctx, lam):
+    P = macdonald.macdonald_poly(lam, ctx).poly
+    image = sov.separate(lam, ctx)
+    assert sov.apply_M_inverse(image.poly, ctx) == P
+    assert sov.apply_M_inverse_qdiff(image.poly, ctx) == P
+
+
 def _direct_basis(tag, nu, ctx):
     """Reference: the anchor monomial times all 2*width linear factors, multiplied out."""
     forward, a = sov._basis_param(tag, ctx)

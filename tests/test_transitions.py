@@ -1,7 +1,7 @@
 import pytest
 
-from qsov import macdonald, sov
-from qsov.exact import Laurent2, Pair, QContext, frac, pairs_under
+from qsov import macdonald, sov, suites
+from qsov.exact import Laurent2, Pair, QContext, frac, pairs_under, qpochhammer
 
 CTX = QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
 CTX2 = QContext(s=frac(3, 5), g=2, xi=frac(2))
@@ -99,3 +99,95 @@ def test_mutual_inverse_identities(ctx):
                         mu, zero
                     )
             assert total == (frac(1) if mu == lam else zero)
+
+
+@pytest.fixture
+def cold_rows():
+    """Empty row and multiplier caches before the test, and drop what it cached after."""
+    sov._base_row.cache_clear()
+    sov._multiplier.cache_clear()
+    yield
+    sov._base_row.cache_clear()
+    sov._multiplier.cache_clear()
+
+
+def _doubled(fn):
+    """fn with every value it returns doubled: a scalar, or each entry of a row dict."""
+    def wrong(*args):
+        out = fn(*args)
+        return {nu: 2 * v for nu, v in out.items()} if isinstance(out, dict) else 2 * out
+    return wrong
+
+
+# (function corrupted, route cached before corrupting it, kinds that read it)
+CORRUPTIONS = [
+    ("_closed_entry", "recurrence", KINDS),
+    ("_rho_row_recurrence", "closed", ("rho", "pi", "rhot", "pit")),
+    ("_R_row_recurrence", "closed", ("R", "Q", "Rt", "Qt")),
+]
+
+
+@pytest.mark.parametrize("name,cached_route,kinds", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
+def test_routes_stay_independent_under_cache(cold_rows, monkeypatch, name, cached_route, kinds):
+    lam = Pair(-1, 2)
+    for kind in KINDS:
+        sov.transition_row(kind, lam, CTX, cached_route)
+    monkeypatch.setattr(sov, name, _doubled(getattr(sov, name)))
+    with pytest.raises(AssertionError, match="row construction mismatch"):
+        suites.case_transitions(CTX, lam)
+    for kind in kinds:
+        closed = sov.transition_row(kind, lam, CTX, "closed").entries
+        assert closed != sov.transition_row(kind, lam, CTX, "recurrence").entries, kind
+
+
+@pytest.mark.parametrize("method", ["closed", "recurrence"])
+def test_row_entries_are_fresh_copies(cold_rows, method):
+    lam = Pair(-1, 2)
+    for kind in KINDS:
+        first = sov.transition_row(kind, lam, CTX2, method).entries
+        terms = list(first.items())
+        first[Pair(9, 9)] = frac(1)
+        first[lam] += 1
+        del first[Pair(0, 0)]
+        assert list(sov.transition_row(kind, lam, CTX2, method).entries.items()) == terms, kind
+
+
+def _reference_multiplier(e, m, ctx):
+    t, q = ctx.t, ctx.q
+    return t ** (-e) * ctx.xi ** (2 * e) * qpochhammer(t, q, m) / qpochhammer(t ** 2, q, m)
+
+
+def _reference_entry(kind, lam, nu, ctx):
+    """Uncached formula: the closed entry of the base kind times the tilded multiplier."""
+    base = kind[:-1] if kind.endswith("t") else kind
+    value = sov._closed_entry(base, lam, nu, ctx)
+    if kind == "pit":
+        value *= _reference_multiplier(nu.l1, nu.width, ctx)
+    elif kind == "rhot":
+        value *= _reference_multiplier(nu.l2, nu.width, ctx)
+    elif kind == "Qt":
+        value /= _reference_multiplier(lam.l1, lam.width, ctx)
+    elif kind == "Rt":
+        value /= _reference_multiplier(lam.l2, lam.width, ctx)
+    return value
+
+
+def test_cold_cache_tilded_first_two_contexts(cold_rows):
+    # every tilded kind before its base kind, contexts and routes interleaved
+    order = [
+        (kind, ctx, lam, method)
+        for kind in ("rhot", "Qt", "pit", "Rt", "rho", "Q", "pi", "R")
+        for lam in (Pair(-1, 2), Pair(0, 3), Pair(-3, 0))
+        for ctx in (CTX2, CTX)
+        for method in ("recurrence", "closed")
+    ]
+    for kind, ctx, lam, method in order:
+        expected = [
+            (nu, v) for nu in pairs_under(lam)
+            if (v := _reference_entry(kind, lam, nu, ctx)) != 0
+        ]
+        entries = sov.transition_row(kind, lam, ctx, method).entries
+        # the closed route lists nu in pairs_under order; the recurrence grows from the diagonal
+        got = list(entries.items()) if method == "closed" else entries
+        want = expected if method == "closed" else dict(expected)
+        assert got == want, (kind, ctx, lam, method)

@@ -14,7 +14,6 @@ from .exact import (
     Pair,
     QContext,
     divide_exact,
-    divide_exact1,
     frac,
     qbinomial,
     qpochhammer,
@@ -28,7 +27,6 @@ __all__ = [
     "Pair",
     "QContext",
     "divide_exact",
-    "divide_exact1",
     "exact",
     "frac",
     "macdonald",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonTerminating, NotDivisible, PoleError
+from .errors import NotDivisible, PoleError
 
 try:
     from gmpy2 import mpq as _rational
@@ -72,15 +72,9 @@ class Pair:
     def bar(self) -> "Pair":
         return Pair(-self.l2, -self.l1)
 
-    def shifted(self, d1: int, d2: int) -> "Pair":
-        return Pair(self.l1 + d1, self.l2 + d2)
-
     def contains(self, other: "Pair") -> bool:
         """True when other's interval sits inside self's interval."""
         return self.l1 <= other.l1 <= other.l2 <= self.l2
-
-    def __iter__(self):
-        return iter((self.l1, self.l2))
 
     def __str__(self):
         return f"{self.l1},{self.l2}"
@@ -204,8 +198,14 @@ def _coerce_other(other):
     return None
 
 
-class Laurent1:
-    """Sparse Laurent polynomial in one variable over exact scalars."""
+class _Laurent:
+    """Sparse Laurent polynomial over exact scalars: the exponent-blind operations.
+
+    c maps an exponent to its nonzero coefficient.  A subclass fixes the
+    exponent's shape (an int, or an (e1, e2) pair): it sets _UNIT, the
+    constant monomial's exponent, and supplies _key, term, coeff, the
+    product of two polynomials, subs_scale, evaluate and _mono.
+    """
 
     __slots__ = ("c",)
 
@@ -215,35 +215,38 @@ class Laurent1:
             for k, v in coeffs.items():
                 v = as_rational(v)
                 if v != 0:
-                    self.c[k] = v
+                    self.c[self._key(k)] = v
 
     @classmethod
-    def term(cls, exponent: int, coeff=ONE) -> "Laurent1":
-        return cls({exponent: coeff})
+    def _wrap(cls, coeffs: dict):
+        """Polynomial owning coeffs, which must hold normalized keys and no zero value."""
+        res = cls.__new__(cls)
+        res.c = coeffs
+        return res
 
     @classmethod
-    def zero(cls) -> "Laurent1":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "Laurent1":
-        return cls({0: ONE})
+    def one(cls):
+        return cls({cls._UNIT: ONE})
 
     def __bool__(self):
         return bool(self.c)
 
     def __eq__(self, other):
         if is_rational(other):
-            other = Laurent1({0: other})
-        return isinstance(other, Laurent1) and self.c == other.c
+            other = type(self)({self._UNIT: other})
+        return isinstance(other, type(self)) and self.c == other.c
 
     def __hash__(self):
-        raise TypeError("Laurent1 is unhashable")
+        raise TypeError(f"{type(self).__name__} is unhashable")
 
     def __add__(self, other):
         s = _coerce_other(other)
         if s is not None:
-            other = Laurent1({0: s})
+            other = type(self)({self._UNIT: s})
         out = dict(self.c)
         for k, v in other.c.items():
             w = out.get(k, ZERO) + v
@@ -251,34 +254,64 @@ class Laurent1:
                 out.pop(k, None)
             else:
                 out[k] = w
-        res = Laurent1()
-        res.c = out
-        return res
+        return self._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = Laurent1()
-        res.c = {k: -v for k, v in self.c.items()}
-        return res
+        return self._wrap({k: -v for k, v in self.c.items()})
 
     def __sub__(self, other):
-        s = _coerce_other(other)
-        if s is not None:
-            other = Laurent1({0: s})
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, s):
+        """self * s for an exact scalar s: the scalar branch of __mul__."""
+        if s == 0:
+            return type(self)()
+        return self._wrap({k: v * s for k, v in self.c.items()})
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers of polynomials are not defined")
+        res = self.one()
+        base = self
+        while n:
+            if n & 1:
+                res = res * base
+            base = base * base
+            n >>= 1
+        return res
+
+    def support(self):
+        return sorted(self.c)
+
+    def __repr__(self):
+        if not self.c:
+            return "0"
+        return " + ".join(f"{rational_str(v)}*{self._mono(k)}" for k, v in sorted(self.c.items()))
+
+
+class Laurent1(_Laurent):
+    """Sparse Laurent polynomial in one variable y; exponents are ints."""
+
+    __slots__ = ()
+    _UNIT = 0
+    _key = staticmethod(int)
+
+    @classmethod
+    def term(cls, exponent: int, coeff=ONE) -> "Laurent1":
+        return cls({exponent: coeff})
+
+    def coeff(self, k: int):
+        return self.c.get(k, ZERO)
+
     def __mul__(self, other):
         s = _coerce_other(other)
         if s is not None:
-            if s == 0:
-                return Laurent1()
-            res = Laurent1()
-            res.c = {k: v * s for k, v in self.c.items()}
-            return res
+            return self._scaled(s)
         out = {}
         for k1, v1 in self.c.items():
             for k2, v2 in other.c.items():
@@ -288,42 +321,14 @@ class Laurent1:
                     out.pop(k, None)
                 else:
                     out[k] = w
-        res = Laurent1()
-        res.c = out
-        return res
+        return self._wrap(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers of polynomials are not defined")
-        res = Laurent1.one()
-        base = self
-        while n:
-            if n & 1:
-                res = res * base
-            base = base * base
-            n >>= 1
-        return res
-
-    def coeff(self, k: int):
-        return self.c.get(k, ZERO)
-
-    def support(self):
-        return sorted(self.c)
-
-    def min_exp(self) -> int:
-        return min(self.c)
-
-    def max_exp(self) -> int:
-        return max(self.c)
 
     def subs_scale(self, factor) -> "Laurent1":
         """Substitute y -> factor*y (factor a nonzero rational)."""
         factor = as_rational(factor)
-        res = Laurent1()
-        res.c = {k: v * factor ** k for k, v in self.c.items()}
-        return res
+        return self._wrap({k: v * factor ** k for k, v in self.c.items()})
 
     def is_reflexive(self) -> bool:
         return all(self.c.get(-k, ZERO) == v for k, v in self.c.items())
@@ -331,92 +336,39 @@ class Laurent1:
     def evaluate(self, z: complex) -> complex:
         return sum(float(v) * z ** k for k, v in self.c.items())
 
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        parts = [f"{rational_str(v)}*y^{k}" for k, v in sorted(self.c.items())]
-        return " + ".join(parts)
+    @staticmethod
+    def _mono(k) -> str:
+        return f"y^{k}"
 
 
-class Laurent2:
-    """Sparse Laurent polynomial in two variables over exact scalars.
+class Laurent2(_Laurent):
+    """Sparse Laurent polynomial in two variables x1, x2; exponents are (e1, e2).
 
     Used both for plain bivariate Laurent polynomials and, via the symmetry
     predicate, for the symmetric subspace the operators act on.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ()
+    _UNIT = (0, 0)
 
-    def __init__(self, coeffs=None):
-        self.c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = as_rational(v)
-                if v != 0:
-                    self.c[(int(k[0]), int(k[1]))] = v
+    @staticmethod
+    def _key(k) -> tuple:
+        return (int(k[0]), int(k[1]))
 
     @classmethod
     def term(cls, e1: int, e2: int, coeff=ONE) -> "Laurent2":
         return cls({(e1, e2): coeff})
 
-    @classmethod
-    def zero(cls) -> "Laurent2":
-        return cls()
+    def coeff(self, e1: int, e2: int):
+        return self.c.get((e1, e2), ZERO)
 
-    @classmethod
-    def one(cls) -> "Laurent2":
-        return cls({(0, 0): ONE})
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        if is_rational(other):
-            other = Laurent2({(0, 0): other})
-        return isinstance(other, Laurent2) and self.c == other.c
-
-    def __hash__(self):
-        raise TypeError("Laurent2 is unhashable")
-
-    def __add__(self, other):
-        s = _coerce_other(other)
-        if s is not None:
-            other = Laurent2({(0, 0): s})
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, ZERO) + v
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        res = Laurent2()
-        res.c = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = Laurent2()
-        res.c = {k: -v for k, v in self.c.items()}
-        return res
-
-    def __sub__(self, other):
-        s = _coerce_other(other)
-        if s is not None:
-            other = Laurent2({(0, 0): s})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # Bound in Laurent2 itself so that layer tracers, which wrap only own methods, see it.
+    __add__ = __radd__ = _Laurent.__add__
 
     def __mul__(self, other):
         s = _coerce_other(other)
         if s is not None:
-            if s == 0:
-                return Laurent2()
-            res = Laurent2()
-            res.c = {k: v * s for k, v in self.c.items()}
-            return res
+            return self._scaled(s)
         out = {}
         for (a1, b1), v1 in self.c.items():
             for (a2, b2), v2 in other.c.items():
@@ -426,69 +378,34 @@ class Laurent2:
                     out.pop(k, None)
                 else:
                     out[k] = w
-        res = Laurent2()
-        res.c = out
-        return res
+        return self._wrap(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers of polynomials are not defined")
-        res = Laurent2.one()
-        base = self
-        while n:
-            if n & 1:
-                res = res * base
-            base = base * base
-            n >>= 1
-        return res
-
-    def coeff(self, e1: int, e2: int):
-        return self.c.get((e1, e2), ZERO)
 
     def subs_scale(self, f1, f2) -> "Laurent2":
         """Substitute x1 -> f1*x1, x2 -> f2*x2 (nonzero rationals)."""
         f1 = as_rational(f1)
         f2 = as_rational(f2)
-        res = Laurent2()
-        res.c = {(a, b): v * f1 ** a * f2 ** b for (a, b), v in self.c.items()}
-        return res
+        return self._wrap({(a, b): v * f1 ** a * f2 ** b for (a, b), v in self.c.items()})
 
     def subs_invert_scale(self, cnum) -> "Laurent2":
         """Substitute x_j -> cnum / x_j in both variables."""
         cnum = as_rational(cnum)
-        res = Laurent2()
-        res.c = {(-a, -b): v * cnum ** (a + b) for (a, b), v in self.c.items()}
-        return res
+        return self._wrap({(-a, -b): v * cnum ** (a + b) for (a, b), v in self.c.items()})
 
     def shifted(self, d1: int, d2: int) -> "Laurent2":
         """x1^d1 x2^d2 * self: moves every exponent and shares the coefficient objects."""
-        res = Laurent2()
-        res.c = {(a + d1, b + d2): v for (a, b), v in self.c.items()}
-        return res
-
-    def swap(self) -> "Laurent2":
-        res = Laurent2()
-        res.c = {(b, a): v for (a, b), v in self.c.items()}
-        return res
+        return self._wrap({(a + d1, b + d2): v for (a, b), v in self.c.items()})
 
     def is_symmetric(self) -> bool:
         return all(self.c.get((b, a), ZERO) == v for (a, b), v in self.c.items())
 
-    def support(self):
-        return sorted(self.c)
-
     def evaluate(self, z1: complex, z2: complex) -> complex:
         return sum(float(v) * z1 ** a * z2 ** b for (a, b), v in self.c.items())
 
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        parts = [
-            f"{rational_str(v)}*x1^{a}*x2^{b}" for (a, b), v in sorted(self.c.items())
-        ]
-        return " + ".join(parts)
+    @staticmethod
+    def _mono(k) -> str:
+        return f"x1^{k[0]}*x2^{k[1]}"
 
 
 def qshift(p, j: int, s_steps: int, ctx: QContext):
@@ -498,8 +415,6 @@ def qshift(p, j: int, s_steps: int, ctx: QContext):
     negative counts give inverse shifts.  Exactness is preserved.
     """
     factor = ctx.s ** s_steps
-    if isinstance(p, Laurent1):
-        return p.subs_scale(factor)
     if j == 0:
         return p.subs_scale(factor, ONE)
     if j == 1:
@@ -511,50 +426,14 @@ def qshift(p, j: int, s_steps: int, ctx: QContext):
 # Exact division
 # ---------------------------------------------------------------------------
 
-def divide_exact1(num: Laurent1, den: Laurent1) -> Laurent1:
-    """Exact quotient num/den in the one-variable Laurent ring."""
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not num:
-        return Laurent1()
-    lo = num.min_exp() - den.min_exp()
-    hi = num.max_exp() - den.max_exp()
-    if hi < lo:
-        raise NotDivisible("quotient support is empty")
-    dlead = den.max_exp()
-    dcoef = den.c[dlead]
-    rem = dict(num.c)
-    quot = {}
-    for _ in range(hi - lo + 2):
-        if not rem:
-            res = Laurent1()
-            res.c = quot
-            return res
-        k = max(rem)
-        e = k - dlead
-        if e < lo or e > hi:
-            raise NotDivisible("remainder exponent outside quotient range")
-        qc = rem[k] / dcoef
-        quot[e] = qc
-        for dk, dv in den.c.items():
-            kk = dk + e
-            w = rem.get(kk, ZERO) - qc * dv
-            if w == 0:
-                rem.pop(kk, None)
-            else:
-                rem[kk] = w
-    if rem:
-        raise NotDivisible("nonzero remainder")
-    res = Laurent1()
-    res.c = quot
-    return res
-
-
 def divide_exact(num: Laurent2, den: Laurent2) -> Laurent2:
     """Exact quotient num/den in the two-variable Laurent ring.
 
     Repeatedly cancels the lex-leading term; any step that would push the
     quotient outside its a-priori exponent box means the division is inexact.
+    Each step removes the remainder's lex-leading exponent k and adds only
+    exponents below it (den's own leading exponent is lex-largest), so the
+    quotient exponents fall strictly: the loop ends within the finite box.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -576,12 +455,7 @@ def divide_exact(num: Laurent2, den: Laurent2) -> Laurent2:
     dcoef = den.c[dlead]
     rem = dict(num.c)
     quot = {}
-    cap = (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1) + 1
-    for _ in range(cap):
-        if not rem:
-            res = Laurent2()
-            res.c = quot
-            return res
+    while rem:
         k = max(rem)
         e = (k[0] - dlead[0], k[1] - dlead[1])
         if not (lo[0] <= e[0] <= hi[0] and lo[1] <= e[1] <= hi[1]):
@@ -595,7 +469,7 @@ def divide_exact(num: Laurent2, den: Laurent2) -> Laurent2:
                 rem.pop(kk, None)
             else:
                 rem[kk] = w
-    raise NonTerminating("division iteration cap exceeded")
+    return Laurent2._wrap(quot)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import IdentityViolation, NotPolynomial, PoleError
+from .errors import IdentityViolation, NotPolynomial
 from .exact import (
     Laurent1,
     Laurent2,
@@ -20,7 +20,6 @@ from .exact import (
     QContext,
     ZERO,
     divide_exact,
-    divide_exact1,
     qpochhammer,
 )
 
@@ -130,7 +129,12 @@ def check_eigen(lam: Pair, ctx: QContext) -> bool:
 # ---------------------------------------------------------------------------
 
 def separated_poly(lam: Pair, ctx: QContext) -> SeparatedPoly:
-    """f_lam(y) = sum_{k=l1}^{l2} chi_k y^k with the explicit chi ratios."""
+    """f_lam(y) = sum_{k=l1}^{l2} chi_k y^k with the explicit chi ratios.
+
+    The ratio's denominator never vanishes: 1 - q^j has j >= 1, and
+    1 - a_den q^(j-1) = 1 - q^(j-n-g) has j - n - g <= -g < 0, while
+    q^m = 1 only for m = 0 because 0 < q < 1.
+    """
     q, t = ctx.q, ctx.t
     n = lam.width
     base = t ** -2 * q
@@ -143,8 +147,6 @@ def separated_poly(lam: Pair, ctx: QContext) -> SeparatedPoly:
     for j in range(1, n + 1):
         num = (ONE - a_num1 * q ** (j - 1)) * (ONE - a_num2 * q ** (j - 1))
         den = (ONE - q ** j) * (ONE - a_den * q ** (j - 1))
-        if den == 0:
-            raise PoleError(f"chi denominator vanished at step {j} for lam={lam}")
         chi = chi * base * num / den
         if chi != 0:
             coeffs[lam.l1 + j] = chi
@@ -162,7 +164,14 @@ def separated_poly_alt(lam: Pair, ctx: QContext) -> SeparatedPoly:
     integer point t = q^g: numerator and denominator each develop a single
     vanishing factor (the same one, 1 - t^{-1}q^g), which cancels in the
     limit.  Matching zero factors are therefore dropped pairwise before
-    taking the ratio; an unmatched denominator zero is a genuine pole.
+    taking the ratio.
+
+    Since q^m = 1 only for m = 0, the numerator factor 1 - b q^i vanishes
+    only at i = g-1 and the denominator factor 1 - c q^i only at i = n+g-1,
+    so a denominator zero always has its numerator partner; the terms with
+    only the numerator zero vanish.  (a;q)_j first vanishes at j = n+2g,
+    past the last term.  The series is divided by prod_{k<2g} (1 - q^-k y)
+    as a polynomial in x1 alone.
     """
     q, t = ctx.q, ctx.t
     g = ctx.g
@@ -170,23 +179,19 @@ def separated_poly_alt(lam: Pair, ctx: QContext) -> SeparatedPoly:
     a = (ONE / t ** 2) * q ** (1 - n)  # terminates the series
     b = (ONE / t) * q
     c = (ONE / t) * q ** (1 - n)
-    series = Laurent1()
+    series = Laurent2()
     qq = ONE
     poch_a = ONE
     for j in range(n + 2 * g):
         if j > 0:
             poch_a *= ONE - a * q ** (j - 1)
             qq *= ONE - q ** j
-        if poch_a == 0:
-            break
         num_factors = _poch_factors(b, q, j)
         den_factors = _poch_factors(c, q, j)
         num_zeros = sum(1 for f in num_factors if f == 0)
         den_zeros = sum(1 for f in den_factors if f == 0)
         if num_zeros > den_zeros:
             continue
-        if den_zeros > num_zeros:
-            raise PoleError(f"unmatched pole in series term {j} for lam={lam}")
         num = ONE
         skip = num_zeros
         for f in num_factors:
@@ -201,15 +206,15 @@ def separated_poly_alt(lam: Pair, ctx: QContext) -> SeparatedPoly:
                 skip -= 1
                 continue
             den *= f
-        series = series + Laurent1.term(j, poch_a * num / (den * qq))
-    denom = Laurent1.one()
+        series = series + Laurent2.term(j, 0, poch_a * num / (den * qq))
+    denom = Laurent2.one()
     for k in range(1, 2 * g):
-        denom = denom * (Laurent1.one() - Laurent1.term(1, q ** -k))
+        denom = denom * (Laurent2.one() - Laurent2.term(1, 0, q ** -k))
     try:
-        quotient = divide_exact1(series, denom)
+        quotient = divide_exact(series, denom)
     except Exception as exc:
         raise NotPolynomial(f"series/(y;q)_(1-2g) not polynomial for lam={lam}") from exc
-    shifted = Laurent1({k + lam.l1: v for k, v in quotient.c.items()})
+    shifted = Laurent1({e + lam.l1: v for (e, _), v in quotient.c.items()})
     return SeparatedPoly(label=lam, poly=shifted)
 
 

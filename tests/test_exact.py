@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsov.errors import NotDivisible, PoleError
 from qsov.exact import (
@@ -10,7 +12,6 @@ from qsov.exact import (
     Pair,
     QContext,
     divide_exact,
-    divide_exact1,
     frac,
     pairs_under,
     qbinomial,
@@ -112,9 +113,46 @@ def test_divide_exact_rejects():
     den = Laurent2({(1, 0): 1, (0, 1): -1})
     with pytest.raises(NotDivisible):
         divide_exact(num, den)
-    d1 = Laurent1({0: 1, 1: -1})
+    d1 = Laurent2({(0, 0): 1, (1, 0): -1})
     with pytest.raises(NotDivisible):
-        divide_exact1(Laurent1.one() + Laurent1.term(1), d1)
+        divide_exact(Laurent2.one() + Laurent2.term(1, 0), d1)
+
+
+_rationals = st.builds(frac, st.integers(-6, 6), st.integers(1, 6))
+_onevar = st.dictionaries(st.integers(-4, 4), _rationals, max_size=5)
+
+
+def _embed(p: Laurent1) -> Laurent2:
+    """p(x1) as a two-variable polynomial: exponent k goes to (k, 0)."""
+    return Laurent2({(k, 0): v for k, v in p.c.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_onevar, _onevar, _rationals, st.integers(0, 3))
+def test_laurent1_agrees_with_laurent2_on_one_variable(da, db, s, n):
+    a, b = Laurent1(da), Laurent1(db)
+    A, B = Laurent2({(k, 0): v for k, v in da.items()}), Laurent2({(k, 0): v for k, v in db.items()})
+    assert _embed(a) == A and all(type(k) is int for k in a.c)
+    assert _embed(a + b) == A + B
+    assert _embed(a - b) == A - B
+    assert _embed(a * b) == A * B
+    assert _embed(a ** n) == A ** n
+    assert _embed(a * s) == A * s and _embed(s * a) == s * A
+    assert _embed(a + s) == A + s and _embed(a - s) == A - s and _embed(s - a) == s - A
+    assert _embed(-a) == -A
+    if s:
+        assert _embed(a.subs_scale(s)) == A.subs_scale(s, frac(7, 3))
+    z = complex(0.7, 0.2)
+    assert abs(a.evaluate(z) - A.evaluate(z, 1.3)) <= 1e-12 * max(1.0, abs(a.evaluate(z)))
+    assert all(a.coeff(k) == A.coeff(k, 0) for k in range(-5, 6))
+    assert repr(a) == repr(A).replace("*x2^0", "").replace("x1^", "y^")
+    assert a.support() == [k for k, _ in A.support()]
+    assert not a == A and a != A
+    assert (a * 0) == 0 and (A * 0) == 0
+    assert Laurent1.term(0, s) == s and Laurent2.term(0, 0, s) == s
+    for p in (a, A):
+        with pytest.raises(TypeError):
+            hash(p)
 
 
 def test_laurent_symmetry_and_eval():

@@ -4,11 +4,25 @@ Everything downstream is parametrized by the square root s of the base q,
 so q = s**2 and t = s**(2*g) with integer g >= 1.  Every half-integer power
 of q or t that shows up in the operator formulas is then an honest rational
 number and all identities can be checked with zero tolerance.
+
+A Laurent polynomial (Laurent1, Laurent2) stores its coefficients as
+Python-int numerators over one common denominator: its primitive part times
+a rational content (Knuth, TAOCP vol. 2, 4.6.1).  The invariant, restored
+once per result, is: the denominator is a positive int, no numerator is
+zero, and gcd(denominator, *numerators) == 1.  The form is canonical, so two
+polynomials are equal exactly when numerators and denominator agree.  Ring
+operations, substitutions, shifts, evaluation and exact division work on the
+integers and build no per-term scalar; only this module knows the storage.
+Readers elsewhere see the read-only {exponent: scalar} mapping p.c, and coeff
+returns the scalar type frac (fractions.Fraction, or gmpy2.mpq when gmpy2 is
+installed).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import NotDivisible, PoleError
 
@@ -198,80 +212,155 @@ def _coerce_other(other):
     return None
 
 
-class _Laurent:
-    """Sparse Laurent polynomial over exact scalars: the exponent-blind operations.
+def _ints(v) -> tuple:
+    """(numerator, denominator) of an exact scalar as Python ints; the denominator is positive."""
+    return int(v.numerator), int(v.denominator)
 
-    c maps an exponent to its nonzero coefficient.  A subclass fixes the
-    exponent's shape (an int, or an (e1, e2) pair): it sets _UNIT, the
-    constant monomial's exponent, and supplies _key, term, coeff, the
-    product of two polynomials, subs_scale, evaluate and _mono.
+
+def _reduced(nums: dict, den: int) -> tuple:
+    """(nums, den) divided by gcd(den, *nums): the canonical form of nums/den."""
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {k: v // g for k, v in nums.items()}, den // g
+
+
+def _power_table(f, lo: int, hi: int) -> tuple:
+    """([m_lo, ..., m_hi], D): integers with f**e == m_e / D for lo <= e <= hi, D > 0.
+
+    f = n/d is a nonzero rational; D = n^A d^B with A = max(0, -lo) and
+    B = max(0, hi), so m_e = n^(e+A) d^(B-e) has only nonnegative powers.
+    """
+    n, d = _ints(f)
+    A, B = max(0, -lo), max(0, hi)
+    m = [n ** (e + A) * d ** (B - e) for e in range(lo, hi + 1)]
+    D = n ** A * d ** B
+    if D < 0:
+        return [-x for x in m], -D
+    return m, D
+
+
+def _add_multiple(out: dict, nums: dict, m: int) -> None:
+    """out += m * nums on numerator dicts (m != 0), deleting entries that reach zero."""
+    get = out.get
+    for k, v in nums.items():
+        w = get(k, 0) + m * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+
+
+class _Coeffs(Mapping):
+    """Read-only {exponent: scalar} view of a polynomial's coefficients, in term order."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p):
+        self._p = p
+
+    def __getitem__(self, k):
+        return frac(self._p._n[k], self._p._d)
+
+    def __iter__(self):
+        return iter(self._p._n)
+
+    def __len__(self):
+        return len(self._p._n)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _Laurent:
+    """Sparse Laurent polynomial over the rationals: the exponent-blind operations.
+
+    _n maps an exponent to its nonzero int numerator and _d is the common
+    denominator, in the canonical form the module docstring states (the zero
+    polynomial is {} over 1).  c is the read-only {exponent: scalar} view.
+
+    A subclass fixes the exponent's shape (an int, or an (e1, e2) pair): it
+    sets _UNIT, the constant monomial's exponent, and supplies _key, term,
+    coeff, the product of two polynomials, subs_scale and _mono.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs=None):
-        self.c = {}
+        vals = {}
         if coeffs:
             for k, v in coeffs.items():
                 v = as_rational(v)
                 if v != 0:
-                    self.c[self._key(k)] = v
+                    vals[self._key(k)] = _ints(v)
+        den = lcm(*(d for _, d in vals.values()))
+        self._n, self._d = _reduced({k: n * (den // d) for k, (n, d) in vals.items()}, den)
 
     @classmethod
-    def _wrap(cls, coeffs: dict):
-        """Polynomial owning coeffs, which must hold normalized keys and no zero value."""
+    def _wrap(cls, nums: dict, den: int):
+        """Polynomial owning nums over den, which must already be canonical."""
         res = cls.__new__(cls)
-        res.c = coeffs
+        res._n = nums
+        res._d = den
         return res
 
     @classmethod
-    def zero(cls):
-        return cls()
+    def _make(cls, nums: dict, den: int):
+        """Polynomial owning nums over den > 0 (no zero numerator), reduced to canonical form."""
+        return cls._wrap(*_reduced(nums, den))
 
     @classmethod
     def one(cls):
-        return cls({cls._UNIT: ONE})
+        return cls._wrap({cls._UNIT: 1}, 1)
+
+    @property
+    def c(self) -> Mapping:
+        return _Coeffs(self)
+
+    def copy(self):
+        """A new polynomial with the same terms, safe to change with iadd_scaled."""
+        return self._wrap(dict(self._n), self._d)
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self._n)
 
     def __eq__(self, other):
         if is_rational(other):
             other = type(self)({self._UNIT: other})
-        return isinstance(other, type(self)) and self.c == other.c
+        return isinstance(other, type(self)) and self._d == other._d and self._n == other._n
 
     def __hash__(self):
         raise TypeError(f"{type(self).__name__} is unhashable")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other for a polynomial or scalar other and sign = +-1."""
         s = _coerce_other(other)
         if s is not None:
             other = type(self)({self._UNIT: s})
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, ZERO) + v
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return self._wrap(out)
+        out = self.copy()
+        out.iadd_scaled(other, sign)
+        return out
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap({k: -v for k, v in self.c.items()})
+        return self._wrap({k: -v for k, v in self._n.items()}, self._d)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._plus(other, 1)
 
     def _scaled(self, s):
         """self * s for an exact scalar s: the scalar branch of __mul__."""
         if s == 0:
             return type(self)()
-        return self._wrap({k: v * s for k, v in self.c.items()})
+        sn, sd = _ints(s)
+        return self._make({k: v * sn for k, v in self._n.items()}, self._d * sd)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -285,13 +374,45 @@ class _Laurent:
             n >>= 1
         return res
 
-    def support(self):
-        return sorted(self.c)
+    def iadd_scaled(self, p, c) -> None:
+        """In place, self += c * p for a polynomial p of the same class and a scalar c.
+
+        The one mutating operation: use it only on a polynomial the caller
+        made itself (copy() or linear_combination), never on a shared one.
+        """
+        c = as_rational(c)
+        if c == 0 or not p._n:
+            return
+        cn, cd = _ints(c)
+        td = cd * p._d
+        den = lcm(self._d, td)
+        out = self._n
+        if den != self._d:
+            f = den // self._d
+            out = {k: v * f for k, v in out.items()}
+        _add_multiple(out, p._n, cn * (den // td))
+        self._n, self._d = _reduced(out, den)
 
     def __repr__(self):
-        if not self.c:
+        if not self._n:
             return "0"
         return " + ".join(f"{rational_str(v)}*{self._mono(k)}" for k, v in sorted(self.c.items()))
+
+
+def linear_combination(terms):
+    """sum(c * p for c, p in terms) over one common denominator, reduced once.
+
+    terms yields (scalar, polynomial) pairs whose polynomials share one class;
+    an empty sum is the zero Laurent2.
+    """
+    terms = [(_ints(as_rational(c)), p) for c, p in terms if c != 0]
+    if not terms:
+        return Laurent2()
+    den = lcm(*(cd * p._d for (_, cd), p in terms))
+    out = {}
+    for (cn, cd), p in terms:
+        _add_multiple(out, p._n, cn * (den // (cd * p._d)))
+    return type(terms[0][1])._make(out, den)
 
 
 class Laurent1(_Laurent):
@@ -306,35 +427,45 @@ class Laurent1(_Laurent):
         return cls({exponent: coeff})
 
     def coeff(self, k: int):
-        return self.c.get(k, ZERO)
+        v = self._n.get(k)
+        return ZERO if v is None else frac(v, self._d)
 
     def __mul__(self, other):
         s = _coerce_other(other)
         if s is not None:
             return self._scaled(s)
         out = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
+        get = out.get
+        right = list(other._n.items())
+        for k1, v1 in self._n.items():
+            for k2, v2 in right:
                 k = k1 + k2
-                w = out.get(k, ZERO) + v1 * v2
-                if w == 0:
-                    out.pop(k, None)
-                else:
+                w = get(k, 0) + v1 * v2
+                if w:
                     out[k] = w
-        return self._wrap(out)
+                else:
+                    del out[k]
+        return self._make(out, self._d * other._d)
 
     __rmul__ = __mul__
 
     def subs_scale(self, factor) -> "Laurent1":
         """Substitute y -> factor*y (factor a nonzero rational)."""
-        factor = as_rational(factor)
-        return self._wrap({k: v * factor ** k for k, v in self.c.items()})
+        if not self._n:
+            return type(self)()
+        lo = min(self._n)
+        m, D = _power_table(as_rational(factor), lo, max(self._n))
+        return self._make({k: v * m[k - lo] for k, v in self._n.items()}, self._d * D)
+
+    def tensor(self, other: "Laurent1") -> "Laurent2":
+        """self(x1) * other(x2) as a two-variable polynomial."""
+        right = list(other._n.items())
+        out = {(i, j): vi * vj for i, vi in self._n.items() for j, vj in right}
+        return Laurent2._make(out, self._d * other._d)
 
     def is_reflexive(self) -> bool:
-        return all(self.c.get(-k, ZERO) == v for k, v in self.c.items())
-
-    def evaluate(self, z: complex) -> complex:
-        return sum(float(v) * z ** k for k, v in self.c.items())
+        n = self._n
+        return all(n.get(-k) == v for k, v in n.items())
 
     @staticmethod
     def _mono(k) -> str:
@@ -360,7 +491,8 @@ class Laurent2(_Laurent):
         return cls({(e1, e2): coeff})
 
     def coeff(self, e1: int, e2: int):
-        return self.c.get((e1, e2), ZERO)
+        v = self._n.get((e1, e2))
+        return ZERO if v is None else frac(v, self._d)
 
     # Bound in Laurent2 itself so that layer tracers, which wrap only own methods, see it.
     __add__ = __radd__ = _Laurent.__add__
@@ -370,38 +502,52 @@ class Laurent2(_Laurent):
         if s is not None:
             return self._scaled(s)
         out = {}
-        for (a1, b1), v1 in self.c.items():
-            for (a2, b2), v2 in other.c.items():
+        get = out.get
+        right = list(other._n.items())
+        for (a1, b1), v1 in self._n.items():
+            for (a2, b2), v2 in right:
                 k = (a1 + a2, b1 + b2)
-                w = out.get(k, ZERO) + v1 * v2
-                if w == 0:
-                    out.pop(k, None)
-                else:
+                w = get(k, 0) + v1 * v2
+                if w:
                     out[k] = w
-        return self._wrap(out)
+                else:
+                    del out[k]
+        return self._make(out, self._d * other._d)
 
     __rmul__ = __mul__
 
     def subs_scale(self, f1, f2) -> "Laurent2":
         """Substitute x1 -> f1*x1, x2 -> f2*x2 (nonzero rationals)."""
-        f1 = as_rational(f1)
-        f2 = as_rational(f2)
-        return self._wrap({(a, b): v * f1 ** a * f2 ** b for (a, b), v in self.c.items()})
+        if not self._n:
+            return type(self)()
+        lo1 = min(a for a, _ in self._n)
+        lo2 = min(b for _, b in self._n)
+        m1, D1 = _power_table(as_rational(f1), lo1, max(a for a, _ in self._n))
+        m2, D2 = _power_table(as_rational(f2), lo2, max(b for _, b in self._n))
+        nums = {(a, b): v * m1[a - lo1] * m2[b - lo2] for (a, b), v in self._n.items()}
+        return self._make(nums, self._d * D1 * D2)
 
     def subs_invert_scale(self, cnum) -> "Laurent2":
         """Substitute x_j -> cnum / x_j in both variables."""
-        cnum = as_rational(cnum)
-        return self._wrap({(-a, -b): v * cnum ** (a + b) for (a, b), v in self.c.items()})
+        if not self._n:
+            return type(self)()
+        lo = min(a + b for a, b in self._n)
+        m, D = _power_table(as_rational(cnum), lo, max(a + b for a, b in self._n))
+        nums = {(-a, -b): v * m[a + b - lo] for (a, b), v in self._n.items()}
+        return self._make(nums, self._d * D)
 
     def shifted(self, d1: int, d2: int) -> "Laurent2":
-        """x1^d1 x2^d2 * self: moves every exponent and shares the coefficient objects."""
-        return self._wrap({(a + d1, b + d2): v for (a, b), v in self.c.items()})
+        """x1^d1 x2^d2 * self: moves every exponent and keeps the numerators."""
+        return self._wrap({(a + d1, b + d2): v for (a, b), v in self._n.items()}, self._d)
 
     def is_symmetric(self) -> bool:
-        return all(self.c.get((b, a), ZERO) == v for (a, b), v in self.c.items())
+        n = self._n
+        return all(n.get((b, a)) == v for (a, b), v in n.items())
 
     def evaluate(self, z1: complex, z2: complex) -> complex:
-        return sum(float(v) * z1 ** a * z2 ** b for (a, b), v in self.c.items())
+        # n / d is the correctly rounded float of the coefficient, as float(Fraction) is.
+        d = self._d
+        return sum(v / d * z1 ** a * z2 ** b for (a, b), v in self._n.items())
 
     @staticmethod
     def _mono(k) -> str:
@@ -429,18 +575,23 @@ def qshift(p, j: int, s_steps: int, ctx: QContext):
 def divide_exact(num: Laurent2, den: Laurent2) -> Laurent2:
     """Exact quotient num/den in the two-variable Laurent ring.
 
-    Repeatedly cancels the lex-leading term; any step that would push the
-    quotient outside its a-priori exponent box means the division is inexact.
-    Each step removes the remainder's lex-leading exponent k and adds only
-    exponents below it (den's own leading exponent is lex-largest), so the
-    quotient exponents fall strictly: the loop ends within the finite box.
+    Divides the integer primitive parts (numerators over their gcd) and
+    restores the rational content at the end.  By Gauss's lemma a quotient
+    of primitive parts that exists over the rationals has integer
+    coefficients, so each step's division by den's leading numerator is
+    exact or the division is inexact.  Repeatedly cancels the lex-leading
+    term; any step that would push the quotient outside its a-priori
+    exponent box means the division is inexact.  Each step removes the
+    remainder's lex-leading exponent k and adds only exponents below it
+    (den's own leading exponent is lex-largest), so the quotient exponents
+    fall strictly: the loop ends within the finite box.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num:
         return Laurent2()
-    nkeys = list(num.c)
-    dkeys = list(den.c)
+    nkeys = list(num._n)
+    dkeys = list(den._n)
     lo = (
         min(k[0] for k in nkeys) - min(k[0] for k in dkeys),
         min(k[1] for k in nkeys) - min(k[1] for k in dkeys),
@@ -451,25 +602,32 @@ def divide_exact(num: Laurent2, den: Laurent2) -> Laurent2:
     )
     if hi[0] < lo[0] or hi[1] < lo[1]:
         raise NotDivisible("quotient support is empty")
-    dlead = max(den.c)
-    dcoef = den.c[dlead]
-    rem = dict(num.c)
+    ncont = gcd(*num._n.values())
+    dcont = gcd(*den._n.values())
+    dterms = [(k, v // dcont) for k, v in den._n.items()]
+    dlead = max(dkeys)
+    dcoef = den._n[dlead] // dcont
+    rem = {k: v // ncont for k, v in num._n.items()}
     quot = {}
     while rem:
         k = max(rem)
         e = (k[0] - dlead[0], k[1] - dlead[1])
         if not (lo[0] <= e[0] <= hi[0] and lo[1] <= e[1] <= hi[1]):
             raise NotDivisible("remainder exponent outside quotient range")
-        qc = rem[k] / dcoef
+        qc, r = divmod(rem[k], dcoef)
+        if r:
+            raise NotDivisible("primitive quotient has a non-integer coefficient")
         quot[e] = qc
-        for dk, dv in den.c.items():
+        for dk, dv in dterms:
             kk = (dk[0] + e[0], dk[1] + e[1])
-            w = rem.get(kk, ZERO) - qc * dv
-            if w == 0:
-                rem.pop(kk, None)
-            else:
+            w = rem.get(kk, 0) - qc * dv
+            if w:
                 rem[kk] = w
-    return Laurent2._wrap(quot)
+            else:
+                del rem[kk]
+    # num/den = (ncont/num._d) / (dcont/den._d) * quot
+    scale = ncont * den._d
+    return Laurent2._make({e: v * scale for e, v in quot.items()}, dcont * num._d)
 
 
 # ---------------------------------------------------------------------------

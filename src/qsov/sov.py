@@ -22,6 +22,7 @@ from .exact import (
     QContext,
     ZERO,
     divide_exact,
+    linear_combination,
     pairs_under,
     qbinomial,
     qpochhammer,
@@ -124,16 +125,6 @@ def _leading(tag: str, nu: Pair, ctx: QContext):
     return (-a) ** m * ctx.q ** (m * (m - 1) // 2)
 
 
-def _add_scaled(acc: dict, p: Laurent2, c) -> None:
-    """acc += c * p on a coefficient dict, dropping entries that reach zero; p is not touched."""
-    for k, v in p.c.items():
-        w = acc.get(k, ZERO) + c * v
-        if w:
-            acc[k] = w
-        else:
-            acc.pop(k, None)
-
-
 def _pivot(support) -> Pair:
     """Inclusion-maximal pair of a symmetric support with the largest (l2, l1).
 
@@ -154,25 +145,20 @@ def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> BasisExpansion:
     if not p.is_symmetric():
         raise ValueError("expansion requires a symmetric polynomial")
     coeffs: dict = {}
-    work = dict(p.c)
+    work = p.copy()
     cap = 4 * (len(p.c) + 4) ** 2 + 64
     for _ in range(cap):
         if not work:
             return BasisExpansion(tag=tag, coeffs={k: v for k, v in coeffs.items() if v != 0})
-        pick = _pivot(work)
-        c = work.get((pick.l1, pick.l2), ZERO) / _leading(tag, pick, ctx)
+        pick = _pivot(work.c)
+        c = work.coeff(pick.l1, pick.l2) / _leading(tag, pick, ctx)
         coeffs[pick] = coeffs.get(pick, ZERO) + c
-        _add_scaled(work, basis(tag, pick, ctx), -c)
+        work.iadd_scaled(basis(tag, pick, ctx), -c)
     raise NonTerminating(f"basis expansion did not terminate (tag={tag})")
 
 
 def reassemble(exp: BasisExpansion, ctx: QContext) -> Laurent2:
-    acc: dict = {}
-    for nu, c in exp.coeffs.items():
-        _add_scaled(acc, basis(exp.tag, nu, ctx), c)
-    out = Laurent2()
-    out.c = acc
-    return out
+    return linear_combination((c, basis(exp.tag, nu, ctx)) for nu, c in exp.coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +246,7 @@ def normalization_c(lam: Pair, ctx: QContext):
 
 def f_tensor(f: macdonald.SeparatedPoly) -> Laurent2:
     """f(y1) * f(y2) as a symmetric two-variable polynomial."""
-    out = {}
-    for i, vi in f.poly.c.items():
-        for j, vj in f.poly.c.items():
-            key = (i, j)
-            out[key] = out.get(key, ZERO) + vi * vj
-    return Laurent2(out)
+    return f.poly.tensor(f.poly)
 
 
 def separate(lam: Pair, ctx: QContext) -> SeparatingImage:

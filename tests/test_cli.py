@@ -218,3 +218,16 @@ def test_fork_pool_matches_serial(capsys):
         del report["elapsed_ms"]
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def test_ruijsenaars_bounds_follow_tolerance_flags(capsys):
+    code, out = run_cli(
+        capsys, "verify", "ruijsenaars", "--tol-tight", "1e-30", "--tol-loose", "1e-30", "--json"
+    )
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "fail"
+    assert report["grid"]["tol_tight"] == 1e-30 and report["grid"]["tol_loose"] == 1e-30
+    failed = {c["id"].split("[")[0] for c in report["cases"] if c["status"] == "fail"}
+    # charpoly and hermitian read tol_tight, involutivity tol_loose; the
+    # separation, canonicity and dilog bounds are fixed and still pass
+    assert {"charpoly", "involutivity"} <= failed <= {"charpoly", "involutivity", "hermitian"}

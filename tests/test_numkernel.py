@@ -294,3 +294,26 @@ def test_gamma_normalizer_consistency():
         rhs = nk.gamma_q(a, q) * nk.gamma_q(b, q) / nk.gamma_q(a + b, q)
         assert abs(lhs - rhs) < 1e-12
     assert abs(nk.gamma_q(1.0, q) - 1.0) < 1e-14
+
+
+def test_qprod_inf_and_aw_closed_form_match_mpmath():
+    # 50-digit references for the truncated infinite product and for the
+    # closed form 2 (abcd;q)_inf / ((q;q)_inf prod_{pairs} (xy;q)_inf).
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for a, q in ((0.3 + 0.2j, 0.25), (-0.55 + 0.1j, 0.4), (0.9 - 0.3j, 0.6)):
+            ref = complex(mpmath.qp(mpmath.mpc(a.real, a.imag), mpmath.mpf(q)))
+            assert abs(nk.qprod_inf(a, q) - ref) < 1e-14 * abs(ref), (a, q)
+        for params, q in (
+            ((0.3, -0.2, 0.1j, 0.4), 0.25),
+            ((0.5 + 0.1j, -0.35j, 0.45, -0.2 + 0.3j), 0.4),
+            ((0.55, 0.5j, -0.45, 0.3 - 0.3j), 0.2),
+        ):
+            a, b, c, d = (mpmath.mpc(complex(x).real, complex(x).imag) for x in params)
+            qm = mpmath.mpf(q)
+            den = mpmath.qp(qm, qm)
+            for pair in (a * b, a * c, a * d, b * c, b * d, c * d):
+                den *= mpmath.qp(pair, qm)
+            ref = complex(2 * mpmath.qp(a * b * c * d, qm) / den)
+            got = nk.aw_closed_form(nk.AWParams(*params), q)
+            assert abs(got - ref) < 1e-14 * abs(ref), (params, q)

@@ -8,6 +8,7 @@ import pytest
 
 from qsov import ruijsenaars as rj
 from qsov import suites
+from qsov.numkernel import DEFAULT_CONFIG
 from qsov.errors import (
     CollisionError,
     DegenerateRoots,
@@ -143,7 +144,7 @@ def test_canonicity_and_richardson():
 
 
 def _suite_canonicity_points(seed=0):
-    for name, _, _, args in suites._ruijsenaars_cases(seed):
+    for name, _, _, args in suites._ruijsenaars_cases(DEFAULT_CONFIG, seed):
         if name.startswith("canonicity["):
             case_seed, t, xi_re, xi_im = args
             yield name, rj.random_phase_point(random.Random(case_seed), 2), t, complex(xi_re, xi_im)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -271,11 +271,17 @@ def kern_mab(r: complex, y: complex, x, alpha: float, beta: float, q: float,
 
 def apply_Mab_numeric(f, alpha: float, beta: float, r: complex, y: complex, q: float,
                       cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """Quadrature value of the two-parameter operator applied to a reflexive input."""
-    func = _as_callable(f)
+    """Quadrature value of the two-parameter operator applied to a reflexive input.
+
+    The kernel does not depend on the input, so f may also be a list or
+    tuple of inputs: the kernel is built once and a list of values comes
+    back in the same order, each equal to the value of a single call.
+    """
     x = unit_nodes(cfg.quad_points)
     kern = kern_mab(r, y, x, alpha, beta, q, cfg)
-    return complex(np.mean(kern * func(x)))
+    if isinstance(f, (list, tuple)):
+        return [complex(np.mean(kern * _as_callable(g)(x))) for g in f]
+    return complex(np.mean(kern * _as_callable(f)(x)))
 
 
 def r_factor(j1: int, j2: int, k1: int, k2: int, alpha: float, beta: float,
@@ -312,20 +318,22 @@ def r_factor_image(j1: int, j2: int, k1: int, k2: int, alpha: float, beta: float
 def mab_eigenpoly_report(alpha: float, beta: float, r: complex, y: complex, q: float,
                          max_total: int = 3, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     """Operator vs closed form on all finite-product inputs of total degree <= max_total."""
+    degrees = [
+        (j1, j2, k1, k2)
+        for j1 in range(max_total + 1)
+        for j2 in range(max_total + 1 - j1)
+        for k1 in range(max_total + 1 - j1 - j2)
+        for k2 in range(max_total + 1 - j1 - j2 - k1)
+    ]
+    vals = apply_Mab_numeric(
+        [lambda x, d=d: r_factor(*d, alpha, beta, r, y, x, q) for d in degrees],
+        alpha, beta, r, y, q, cfg,
+    )
     worst = 0.0
-    cases = 0
-    for j1 in range(max_total + 1):
-        for j2 in range(max_total + 1 - j1):
-            for k1 in range(max_total + 1 - j1 - j2):
-                for k2 in range(max_total + 1 - j1 - j2 - k1):
-                    val = apply_Mab_numeric(
-                        lambda x: r_factor(j1, j2, k1, k2, alpha, beta, r, y, x, q),
-                        alpha, beta, r, y, q, cfg,
-                    )
-                    ref = r_factor_image(j1, j2, k1, k2, alpha, beta, r, y, q)
-                    worst = max(worst, abs(val - ref) / max(abs(ref), 1.0))
-                    cases += 1
-    report = {"cases": cases, "max_err": worst, "tol": cfg.tol_tight}
+    for d, val in zip(degrees, vals):
+        ref = r_factor_image(*d, alpha, beta, r, y, q)
+        worst = max(worst, abs(val - ref) / max(abs(ref), 1.0))
+    report = {"cases": len(degrees), "max_err": worst, "tol": cfg.tol_tight}
     if worst > cfg.tol_tight:
         raise ToleranceExceeded(f"kernel action mismatch: {report}")
     return report
@@ -692,8 +700,8 @@ def power_action_report(alpha: float, nu: float, r: complex, y: complex, q: floa
     return report
 
 
-#: Kernel rows built per broadcast in fractional_on_nodes: one call per block
-#: instead of one per row, without holding the whole n x n matrix.
+#: Kernel rows gathered per block in fractional_on_nodes, so the n x n
+#: kernel matrix is never held whole.
 _KERNEL_ROW_BLOCK = 64
 
 
@@ -701,16 +709,33 @@ def fractional_on_nodes(alpha: float, r: complex, fvals, q: float,
                         cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """I^alpha of f at the n unit-circle nodes, with the same n nodes as quadrature.
 
-    fvals holds f at those nodes.  This is the product of the n x n kernel
-    matrix with fvals; the matrix is built and applied _KERNEL_ROW_BLOCK rows
-    at a time and never stored whole.
+    fvals holds f at those nodes.  The result is the n x n kernel matrix
+    kern_I(alpha, r, y_i, x_j) times fvals, divided by n.  With
+    w = exp(2 pi i / n), y = w^i and x = w^j, the four arguments of
+    lambda_q(q^(alpha/2), y, x) are q^(alpha/2) w^(+-(i+j)) and
+    q^(alpha/2) w^(+-(j-i)), so that factor is F[(i+j) mod n] F[(j-i) mod n]
+    with F[k] = (q^(alpha/2) w^k, q^(alpha/2) w^-k; q)_inf.  This holds only
+    on the node grid, where products and quotients of nodes are nodes again;
+    kern_I remains the kernel for a general y.  Every other factor depends on
+    i alone or on j alone, and lambda_q(sqrt(q), r, .) is the same function on
+    both sides.  So the matrix costs O(n) q-products; its entries are
+    gathered and applied _KERNEL_ROW_BLOCK rows at a time.
     """
     n = len(fvals)
     nodes = unit_nodes(n)
-    return np.concatenate([
-        kern_I(alpha, r, nodes[i:i + _KERNEL_ROW_BLOCK, None], nodes, q, cfg) @ fvals
-        for i in range(0, n, _KERNEL_ROW_BLOCK)
-    ]) / n
+    qa = q ** (alpha / 2.0)
+    sq = math.sqrt(q)
+    _check_disk(qa * nodes, qa / nodes, sq * r, sq / r)
+    inv_f = 1.0 / (qprod_inf(qa * nodes, q, cfg) * qprod_inf(qa / nodes, q, cfg))
+    lam_r = lambda_q(sq, r, nodes, q, cfg)
+    weighted = qprod_inf(nodes ** 2, q, cfg) * qprod_inf(nodes ** -2, q, cfg) / lam_r * fvals
+    head = (1.0 - q) * qprod_inf(q, q, cfg) ** 2 / (2.0 * gamma_q(alpha, q, cfg) * n)
+    j = np.arange(n)
+    out = np.empty(n, dtype=complex)
+    for start in range(0, n, _KERNEL_ROW_BLOCK):
+        i = j[start:start + _KERNEL_ROW_BLOCK, None]
+        out[start:start + _KERNEL_ROW_BLOCK] = (inv_f[(i + j) % n] * inv_f[(j - i) % n]) @ weighted
+    return head * lam_r * out
 
 
 def group_property_report(alpha: float, beta: float, r: complex, ys, q: float, f=None,
@@ -718,8 +743,11 @@ def group_property_report(alpha: float, beta: float, r: complex, ys, q: float, f
                           cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     """Composition of two positive orders equals the single combined order.
 
-    The inner application is evaluated on the quadrature nodes themselves,
-    so the composition is a dense kernel-matrix product (fractional_on_nodes).
+    The inner application I^beta f is evaluated on the n_inner quadrature
+    nodes themselves (fractional_on_nodes), where its kernel factors as
+    F[i+j] F[j-i] and costs O(n_inner) q-products.  The outer application
+    at each y in ys, off the grid, uses kern_I on the same nodes, and so does
+    the direct I^(alpha+beta) f it is compared with.
     """
     if f is None:
         f = lambda x: 1.0 + 0.5 * (x + 1.0 / x)  # noqa: E731
@@ -727,8 +755,7 @@ def group_property_report(alpha: float, beta: float, r: complex, ys, q: float, f
     nodes = unit_nodes(n_inner)
     inner_vals = fractional_on_nodes(beta, r, func(nodes), q, cfg)
     worst = 0.0
-    small = NumericConfig(quad_points=n_inner, prod_cutoff=cfg.prod_cutoff,
-                          tol_tight=cfg.tol_tight, tol_loose=cfg.tol_loose)
+    small = replace(cfg, quad_points=n_inner)
     for y in ys:
         outer = complex(
             np.mean(kern_I(alpha, r, complex(y), nodes, q, small) * inner_vals)

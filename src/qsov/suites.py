@@ -395,8 +395,8 @@ def case_classical(cfg: nk.NumericConfig):
 # ---------------------------------------------------------------------------
 
 # The hermitian and characteristic-polynomial cases compare against
-# tol_tight and the involutivity case against tol_loose.  The three bounds
-# below stay fixed: each is set by its check's own method, not by the run's
+# tol_tight and the involutivity case against tol_loose.  The bounds below
+# stay fixed: each is set by its check's own method, not by the run's
 # tolerances.
 #: Root-finding and residual bound of the separation variables.
 RJ_SEPARATION_TOL = 1e-9
@@ -404,6 +404,12 @@ RJ_SEPARATION_TOL = 1e-9
 RJ_CANONICITY_TOL = 1e-5
 #: Dilogarithm functional equations, evaluated to rounding error.
 RJ_DILOG_TOL = 1e-12
+#: Central differences at step 1e-5 of the generating function.
+RJ_GENFUNC_TOL = 1e-5
+#: Telescoping ratios of the gauge functions, evaluated to rounding error.
+RJ_GAUGE_TOL = 1e-10
+#: Reduced-chain determinant and momenta at root-found separation variables.
+RJ_REDUCTION_TOL = 1e-8
 
 
 def case_rj_hermitian(seed: int, t: float, cfg: nk.NumericConfig):
@@ -469,7 +475,8 @@ def case_rj_canonicity(seed: int, t: float, xi_re: float, xi_im: float):
 def case_rj_genfunc(seed: int, t: float, xi_re: float):
     rng = random.Random(seed)
     point = rj.random_phase_point(rng, 2)
-    rep = rj.generating_function_check(point.x, point.Tx, t, complex(xi_re))
+    rep = rj.generating_function_check(point.x, point.Tx, t, complex(xi_re),
+                                       tol=RJ_GENFUNC_TOL)
     return rep["max"]
 
 
@@ -477,13 +484,15 @@ def case_rj_gauge(seed: int, q: float, t: float):
     rng = random.Random(seed)
     point = rj.random_phase_point(rng, 3)
     ytld = (0.3 * cmath.exp(0.5j), 0.45 * cmath.exp(-1.1j))
-    return rj.gauge_ratio_report(point.x, q, t, ytld)["max"]
+    return rj.gauge_ratio_report(point.x, q, t, ytld, tol=RJ_GAUGE_TOL)["max"]
 
 
 def case_rj_reduction(seed: int, t: float):
     rng = random.Random(seed)
     point = rj.random_phase_point(rng, 3)
-    return rj.reduction_map_report(point.x, (point.Tx[0], point.Tx[1]), t)["max"]
+    return rj.reduction_map_report(
+        point.x, (point.Tx[0], point.Tx[1]), t, tol=RJ_REDUCTION_TOL
+    )["max"]
 
 
 def case_rj_dilog():

@@ -153,6 +153,20 @@ def test_mab_eigenpoly_report_uses_tol_tight():
         nk.mab_eigenpoly_report(0.7, 1.1, r, y, 0.25, 3, strict)
 
 
+def test_mab_list_matches_single_calls():
+    alpha, beta, q = 0.7, 1.1, 0.25
+    y, r = cmath.exp(-0.9j), cmath.exp(0.4j)
+    degrees = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 1, 0), (1, 1, 0, 1), (0, 0, 0, 3)]
+    inputs = [lambda x, d=d: nk.r_factor(*d, alpha, beta, r, y, x, q) for d in degrees]
+    many = nk.apply_Mab_numeric(inputs, alpha, beta, r, y, q)
+    assert isinstance(many, list) and len(many) == len(inputs)
+    assert nk.apply_Mab_numeric(tuple(inputs), alpha, beta, r, y, q) == many
+    for f, val in zip(inputs, many):
+        single = nk.apply_Mab_numeric(f, alpha, beta, r, y, q)
+        assert isinstance(single, complex)
+        assert val == single
+
+
 def test_map_vs_integral_case_uses_tol_tight():
     worst = suites.case_mxi_vs_exact("1/2", 1, "3/2", CFG)
     assert 0 < worst < CFG.tol_tight
@@ -210,17 +224,71 @@ def test_check_disk_accepts_arrays():
         nk.kern_I(0.5, cmath.exp(0.35j), ys, nk.unit_nodes(16), 0.25)
 
 
-@pytest.mark.parametrize("n_inner", (64, 200))
+@pytest.mark.parametrize("n_inner", (64, 200, 201, 512))
 def test_blocked_group_law_inner_values_match_rows(n_inner):
-    r, q, beta = cmath.exp(0.35j), 0.25, 0.7
+    # reference: one general-y kern_I row per node, no node-grid factorization
+    r, q = cmath.exp(0.35j), 0.25
     nodes = nk.unit_nodes(n_inner)
     fvals = 1.0 + 0.5 * (nodes + 1.0 / nodes)
-    rows = np.array(
-        [np.mean(nk.kern_I(beta, r, complex(y), nodes, q) * fvals) for y in nodes]
-    )
-    blocked = nk.fractional_on_nodes(beta, r, fvals, q)
-    assert blocked.shape == (n_inner,)
-    assert np.max(np.abs(blocked - rows)) < 1e-13
+    for beta in (0.7, 1.0):
+        rows = np.array(
+            [np.mean(nk.kern_I(beta, r, complex(y), nodes, q) * fvals) for y in nodes]
+        )
+        blocked = nk.fractional_on_nodes(beta, r, fvals, q)
+        assert blocked.shape == (n_inner,)
+        assert np.max(np.abs(blocked - rows)) < 1e-13
+
+
+def test_group_law_kernel_costs_linear_q_products(monkeypatch):
+    # the node-grid factorization needs O(n) points of (a; q)_inf, where a
+    # kern_I row per node needs about 4 n^2
+    n = 512
+    sizes = []
+    qprod_inf = nk.qprod_inf
+
+    def counting(a, q, cfg=CFG):
+        sizes.append(np.size(a))
+        return qprod_inf(a, q, cfg)
+
+    monkeypatch.setattr(nk, "qprod_inf", counting)
+    nodes = nk.unit_nodes(n)
+    fvals = 1.0 + 0.5 * (nodes + 1.0 / nodes)
+    nk.fractional_on_nodes(0.7, cmath.exp(0.35j), fvals, 0.25)
+    assert 0 < sum(sizes) <= 16 * n
+    # the reference point still has to keep sqrt(q) r inside the unit disk
+    with pytest.raises(ContourUnsupported):
+        nk.fractional_on_nodes(0.7, 3.0, fvals, 0.25)
+
+
+def test_group_law_kernel_matches_mpmath_quadrature():
+    # the same 64-node trapezoid sum, each kernel entry built from the
+    # general four-fold products at 50 digits rather than from F[i+j] F[j-i]
+    mpmath = pytest.importorskip("mpmath")
+    n, beta, q, r = 64, 0.7, 0.25, cmath.exp(0.35j)
+    nodes = nk.unit_nodes(n)
+    got = nk.fractional_on_nodes(beta, r, 1.0 + 0.5 * (nodes + 1.0 / nodes), q)
+    with mpmath.workdps(50):
+        qm = mpmath.mpf(q)
+        qa, sq = qm ** (mpmath.mpf(beta) / 2), mpmath.sqrt(qm)
+        rm = mpmath.mpc(r.real, r.imag)
+        xs = [mpmath.expjpi(mpmath.mpf(2 * j) / n) for j in range(n)]
+
+        def lam(nu, a, b):
+            return (mpmath.qp(nu * a * b, qm) * mpmath.qp(nu * a / b, qm)
+                    * mpmath.qp(nu * b / a, qm) * mpmath.qp(nu / (a * b), qm))
+
+        gamma = mpmath.qp(qm, qm) * (1 - qm) ** (1 - beta) / mpmath.qp(qm ** beta, qm)
+        head = (1 - qm) * mpmath.qp(qm, qm) ** 2 / (2 * gamma * n)
+        side = [lam(sq, rm, x) for x in xs]
+        weighted = [
+            mpmath.qp(x ** 2, qm) * mpmath.qp(x ** -2, qm) * (1 + (x + 1 / x) / 2) / s
+            for x, s in zip(xs, side)
+        ]
+        for i in (0, 21, 37):
+            ref = complex(
+                head * side[i] * mpmath.fsum(w / lam(qa, xs[i], x) for x, w in zip(xs, weighted))
+            )
+            assert abs(got[i] - ref) < 1e-13 * abs(ref), i
 
 
 @pytest.mark.parametrize("n", range(6))

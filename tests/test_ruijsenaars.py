@@ -261,6 +261,18 @@ def test_reduction_transport():
         assert rep["max"] < 1e-8
 
 
+@pytest.mark.parametrize("name, case, args", [
+    ("RJ_GENFUNC_TOL", suites.case_rj_genfunc, (0, 0.5, 0.7)),
+    ("RJ_GAUGE_TOL", suites.case_rj_gauge, (0, 0.25, 0.5)),
+    ("RJ_REDUCTION_TOL", suites.case_rj_reduction, (0, 0.5)),
+])
+def test_named_ruijsenaars_bounds_reach_their_checks(monkeypatch, name, case, args):
+    assert case(*args) < getattr(suites, name)
+    monkeypatch.setattr(suites, name, 1e-300)
+    with pytest.raises(ToleranceExceeded):
+        case(*args)
+
+
 def test_separation_check_tolerance_guard():
     rng = random.Random(14)
     p = rj.random_phase_point(rng, 2)

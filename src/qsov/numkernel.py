@@ -63,14 +63,39 @@ def _trunc_order(a_max: float, q: float, cutoff: float) -> int:
 
 
 def qprod_inf(a, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
-    """(a; q)_inf, truncated at |a| q^K < prod_cutoff.  Accepts scalars or arrays."""
+    """(a; q)_inf, truncated at |a| q^K < prod_cutoff.  Accepts scalars or arrays.
+
+    A Python or numpy scalar runs a plain complex loop.  An array runs the K
+    factors through two preallocated buffers, allocating nothing per factor.
+    Each factor is 1 - a q^k and the factors are multiplied in order, so
+    each form gives the values of the loop out = out * (1 - a q^k) on the
+    same input to the last bit.  A complex scalar and a one-element array of
+    it may differ in the last bits: numpy's complex array multiply may fuse
+    multiply-adds, Python's complex multiply does not.
+    """
+    if isinstance(a, (int, float, complex, np.number)):
+        a = complex(a)
+        K = _trunc_order(abs(a), q, cfg.prod_cutoff)
+        out = 1.0 + 0.0j
+        qk = 1.0
+        for _ in range(K):
+            out *= 1.0 - a * qk
+            qk *= q
+        return out
     arr = np.asarray(a, dtype=complex)
     amax = float(np.max(np.abs(arr))) if arr.size else 0.0
     K = _trunc_order(amax, q, cfg.prod_cutoff)
     out = np.ones_like(arr)
+    nxt = np.empty_like(arr)
+    tmp = np.empty_like(arr)
     qk = 1.0
     for _ in range(K):
-        out = out * (1.0 - arr * qk)
+        np.multiply(arr, -qk, out=tmp)
+        tmp += 1.0
+        # not in place: for one element numpy's in-place complex product can
+        # round differently from the out-of-place one
+        np.multiply(out, tmp, out=nxt)
+        out, nxt = nxt, out
         qk *= q
     return out if arr.shape else complex(out)
 
@@ -159,6 +184,23 @@ def unit_nodes(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
+def qprod_pair_nodes(c: complex, x, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
+    """(c x, c/x; q)_inf on the node grid from a single q-product.
+
+    x is unit_nodes(n) or an integer power of it, so 1/x[j] is x[(-j) mod n]
+    (up to rounding) for every n, odd or even: the c/x product is the c x
+    product read backwards.
+    """
+    F = qprod_inf(c * x, q, cfg)
+    return F * np.roll(F[::-1], 1)
+
+
+def lambda_q_nodes(nu: complex, a: complex, x, q: float,
+                   cfg: NumericConfig = DEFAULT_CONFIG):
+    """lambda_q(nu, a, x) on the node grid x = unit_nodes(n), from two q-products."""
+    return qprod_pair_nodes(nu * a, x, q, cfg) * qprod_pair_nodes(nu / a, x, q, cfg)
+
+
 def aw_weight(x, params: AWParams, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
     """w(x; a, b, c, d): reflexive weight whose circle integral has a closed form."""
     x = np.asarray(x, dtype=complex)
@@ -178,23 +220,58 @@ def aw_closed_form(params: AWParams, q: float, cfg: NumericConfig = DEFAULT_CONF
     return complex(num / den)
 
 
-def _aw_quadrature(params: AWParams, q: float, n_nodes: int, cfg: NumericConfig) -> complex:
+def aw_weights_on_nodes(x, params_seq, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
+    """aw_weight(x, p, q) for each p in params_seq, on the node grid x = unit_nodes(n).
+
+    A generator.  The parameter-free numerator (x^2, x^-2; q)_inf is built
+    once for all of them; each weight then takes four reflected q-products.
+    aw_weight stays the weight at a general point.
+    """
+    num = qprod_pair_nodes(1.0, x ** 2, q, cfg)
+    for params in params_seq:
+        den = 1.0
+        for z in params.as_tuple():
+            den = den * qprod_pair_nodes(z, x, q, cfg)
+        yield num / den
+
+
+def _aw_quadrature(params_seq, q: float, n_nodes: int, cfg: NumericConfig) -> list:
     x = unit_nodes(n_nodes)
-    return complex(np.mean(aw_weight(x, params, q, cfg)))
+    return [complex(np.mean(w)) for w in aw_weights_on_nodes(x, params_seq, q, cfg)]
 
 
-def aw_integral(params: AWParams, q: float, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """Quadrature of w(x)/x over |x|=1 divided by 2*pi*i, checked against the closed form."""
+def aw_integral_report(params_seq, q: float, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
+    """Circle integrals of several weights at one q, each checked against its closed form.
+
+    The quadrature shares the numerator of the weights; every closed form is
+    evaluated once.  "values" and "errs" follow the order of params_seq.
+    """
     if not (0 < q < 1):
         raise ContourUnsupported("base must satisfy 0 < q < 1")
-    quad = _aw_quadrature(params, q, cfg.quad_points, cfg)
-    closed = aw_closed_form(params, q, cfg)
-    err = abs(quad - closed) / max(abs(closed), 1e-300)
-    if err > cfg.tol_tight:
-        raise ToleranceExceeded(
-            f"circle integral {quad} vs closed form {closed} (rel err {err:.3e})"
-        )
-    return quad
+    values = _aw_quadrature(params_seq, q, cfg.quad_points, cfg)
+    errs = []
+    for params, quad in zip(params_seq, values):
+        closed = aw_closed_form(params, q, cfg)
+        err = abs(quad - closed) / max(abs(closed), 1e-300)
+        if err > cfg.tol_tight:
+            raise ToleranceExceeded(
+                f"circle integral {quad} vs closed form {closed} (rel err {err:.3e})"
+            )
+        errs.append(err)
+    return {"values": values, "errs": errs, "max_err": max(errs, default=0.0),
+            "tol": cfg.tol_tight}
+
+
+def aw_integral(params, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
+    """Quadrature of w(x)/x over |x|=1 divided by 2*pi*i, checked against the closed form.
+
+    params may also be a list or tuple of AWParams: the weights' common
+    numerator is built once and a list of values comes back in the same
+    order, each equal to the value of a single call.
+    """
+    if isinstance(params, (list, tuple)):
+        return aw_integral_report(params, q, cfg)["values"]
+    return aw_integral_report([params], q, cfg)["values"][0]
 
 
 def aw_convergence_report(params: AWParams, q: float, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
@@ -203,7 +280,7 @@ def aw_convergence_report(params: AWParams, q: float, cfg: NumericConfig = DEFAU
     errors = []
     n = 8
     while n <= 256:
-        quad = _aw_quadrature(params, q, n, cfg)
+        [quad] = _aw_quadrature([params], q, n, cfg)
         errors.append(abs(quad - closed) / abs(closed))
         n *= 2
     ratios = []
@@ -247,24 +324,26 @@ def _check_disk(*values):
 
 def kern_mab(r: complex, y: complex, x, alpha: float, beta: float, q: float,
              cfg: NumericConfig = DEFAULT_CONFIG):
-    """Kernel of the two-parameter integral operator at output point y."""
+    """Kernel of the two-parameter integral operator at output point y.
+
+    x is the node grid unit_nodes(n): the x-dependent factors are built from
+    reflected q-products (qprod_pair_nodes).
+    """
     qa = q ** (alpha / 2.0)
     qb = q ** (beta / 2.0)
     _check_disk(qa * y, qa / y, qb * r, qb / r)
-    x = np.asarray(x, dtype=complex)
     qq = qprod_inf(q, q, cfg)
     num = (
         (1.0 - q)
         * qq ** 2
-        * qprod_inf(x ** 2, q, cfg)
-        * qprod_inf(x ** -2, q, cfg)
+        * qprod_pair_nodes(1.0, x ** 2, q, cfg)
         * lambda_q(q ** ((alpha + beta) / 2.0), r, y, q, cfg)
     )
     den = (
         2.0
         * b_q(alpha, beta, q, cfg)
-        * lambda_q(qa, y, x, q, cfg)
-        * lambda_q(qb, r, x, q, cfg)
+        * lambda_q_nodes(qa, y, x, q, cfg)
+        * lambda_q_nodes(qb, r, x, q, cfg)
     )
     return num / den
 
@@ -346,8 +425,10 @@ def apply_M_xi_numeric(pol, g: int, q: float, xi: complex, y1: complex, y2: comp
     y_plus must be a square root of y1*y2 chosen by the caller; y_minus is
     derived from it.  The argument of the input polynomial follows the
     kernel's substitution rule, so the x1*x2 scaling comes out automatically.
-    The input is evaluated on the whole node array at once.  The kernel does
-    not depend on the input, so pol may also be a list or tuple of
+    The input is evaluated on the whole node array at once, and the kernel's
+    node-side factors are reflected q-products (lambda_q is symmetric in its
+    two points, so lambda_q(st, z, r) = lambda_q_nodes(st, r, z)).  The kernel
+    does not depend on the input, so pol may also be a list or tuple of
     polynomials: the kernel is built once and a list of values comes back in
     the same order.
     """
@@ -361,14 +442,13 @@ def apply_M_xi_numeric(pol, g: int, q: float, xi: complex, y1: complex, y2: comp
     kern = (
         (1.0 - q)
         * qq ** 2
-        * qprod_inf(z ** 2, q, cfg)
-        * qprod_inf(z ** -2, q, cfg)
+        * qprod_pair_nodes(1.0, z ** 2, q, cfg)
         * lambda_q(t, y_minus, r, q, cfg)
         / (
             2.0
             * b_q(g, g, q, cfg)
-            * lambda_q(st, y_minus, z, q, cfg)
-            * lambda_q(st, z, r, q, cfg)
+            * lambda_q_nodes(st, y_minus, z, q, cfg)
+            * lambda_q_nodes(st, r, z, q, cfg)
         )
     )
     scale = xi * y_plus / st
@@ -433,7 +513,8 @@ def product_formula_check(n: int, theta: float, phi: float, q: float, beta: floa
         / qprod_inf(beta ** 2, q, cfg)
     )
     x = unit_nodes(cfg.quad_points)
-    integral = 0.5 * head * np.mean(aw_weight(x, params, q, cfg) * cq_numeric(n, beta, q, x))
+    [weight] = aw_weights_on_nodes(x, [params], q, cfg)
+    integral = 0.5 * head * np.mean(weight * cq_numeric(n, beta, q, x))
     lhs = cq_numeric(n, beta, q, cmath.exp(1j * theta)) * cq_numeric(
         n, beta, q, cmath.exp(1j * phi)
     )
@@ -505,11 +586,15 @@ def kernel_series_check(theta: float, phi: float, psi: float, q: float, beta: fl
 
 def orthogonality_check(m: int, n: int, q: float, beta: float,
                         cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
-    """Weighted circle average of C_m C_n against the closed norm."""
+    """Weighted circle average of C_m C_n against the closed norm.
+
+    On the node grid the weight _weight_circle is the ratio of two
+    reflected q-products.
+    """
     x = unit_nodes(cfg.quad_points)
-    vals = cq_numeric(m, beta, q, x) * cq_numeric(n, beta, q, x) * _weight_circle(
-        x, beta, q, cfg
-    )
+    x2 = x ** 2
+    weight = qprod_pair_nodes(1.0, x2, q, cfg) / qprod_pair_nodes(beta, x2, q, cfg)
+    vals = cq_numeric(m, beta, q, x) * cq_numeric(n, beta, q, x) * weight
     lhs = 0.5 * complex(np.mean(vals))
     if m != n:
         rhs = 0.0
@@ -718,17 +803,18 @@ def fractional_on_nodes(alpha: float, r: complex, fvals, q: float,
     on the node grid, where products and quotients of nodes are nodes again;
     kern_I remains the kernel for a general y.  Every other factor depends on
     i alone or on j alone, and lambda_q(sqrt(q), r, .) is the same function on
-    both sides.  So the matrix costs O(n) q-products; its entries are
-    gathered and applied _KERNEL_ROW_BLOCK rows at a time.
+    both sides.  F and the other node-side factors are reflected q-products
+    (qprod_pair_nodes), so the matrix costs four length-n q-products; its
+    entries are gathered and applied _KERNEL_ROW_BLOCK rows at a time.
     """
     n = len(fvals)
     nodes = unit_nodes(n)
     qa = q ** (alpha / 2.0)
     sq = math.sqrt(q)
     _check_disk(qa * nodes, qa / nodes, sq * r, sq / r)
-    inv_f = 1.0 / (qprod_inf(qa * nodes, q, cfg) * qprod_inf(qa / nodes, q, cfg))
-    lam_r = lambda_q(sq, r, nodes, q, cfg)
-    weighted = qprod_inf(nodes ** 2, q, cfg) * qprod_inf(nodes ** -2, q, cfg) / lam_r * fvals
+    inv_f = 1.0 / qprod_pair_nodes(qa, nodes, q, cfg)
+    lam_r = lambda_q_nodes(sq, r, nodes, q, cfg)
+    weighted = qprod_pair_nodes(1.0, nodes ** 2, q, cfg) / lam_r * fvals
     head = (1.0 - q) * qprod_inf(q, q, cfg) ** 2 / (2.0 * gamma_q(alpha, q, cfg) * n)
     j = np.arange(n)
     out = np.empty(n, dtype=complex)

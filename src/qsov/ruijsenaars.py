@@ -260,7 +260,9 @@ def log_gradient(fn, x, Tx, h: float = 1e-5):
     """Partial derivatives of fn(x, Tx) in ln T_j and in ln x_j.
 
     Fourth-order central differences with multiplicative steps exp(+-h),
-    exp(+-2h), so the truncation error is O(h^4).  Returns (dP, dX).
+    exp(+-2h), so the truncation error is O(h^4).  Returns (dP, dX).  fn may
+    return a numpy array of components; each entry of dP and dX is then the
+    array of their partial derivatives.
     """
     def scaled(v, j, k):
         out = list(v)
@@ -275,20 +277,29 @@ def log_gradient(fn, x, Tx, h: float = 1e-5):
     return dP, dX
 
 
+def _bracket(FP, FX, GP, GX) -> complex:
+    """{F, G} from the log-gradients (dP, dX) of F and of G."""
+    return -1j * sum(FP[j] * GX[j] - FX[j] * GP[j] for j in range(len(FP)))
+
+
 def poisson_bracket(F, G, x, Tx, h: float = 1e-5) -> complex:
     """{F, G} for the bracket {T_j, x_k} = -i T_j x_k delta_jk.
 
     F, G are callables of (x, Tx), differentiated by log_gradient.
     """
-    FP, FX = log_gradient(F, x, Tx, h)
-    GP, GX = log_gradient(G, x, Tx, h)
-    return -1j * sum(FP[j] * GX[j] - FX[j] * GP[j] for j in range(len(x)))
+    return _bracket(*log_gradient(F, x, Tx, h), *log_gradient(G, x, Tx, h))
 
 
-def _separation_component(t: float, xi: complex, ref: SeparationData, kind: str, idx: int):
+def _separation_vector(t: float, xi: complex, ref: SeparationData):
+    """(y1, y2, Ty1, Ty2) at (x, Tx), roots ordered to follow ref.
+
+    One separation solve per point.  The components are Python complex
+    numbers in an object array, so log_gradient's stencil does the same
+    complex arithmetic on each of them as on a scalar function.
+    """
     def fn(x, Tx):
         data = separation_variables(x, Tx, t, xi, ref=ref.y, check=False)
-        return data.y[idx] if kind == "y" else data.Ty[idx]
+        return np.array([*data.y, *data.Ty], dtype=object)
 
     return fn
 
@@ -301,20 +312,20 @@ def canonicity_check(x, Tx, t: float, xi: complex, h: float = 1e-5,
     points move fast with the coordinates.  A second-order difference there
     needs a step so small that rounding takes over; poisson_bracket's
     fourth-order stencil keeps such points inside tol at h = 1e-5.
+    The four components share one log_gradient, so each stencil point is
+    solved once for all six brackets.
     """
     base = separation_variables(x, Tx, t, xi)
-    y1 = _separation_component(t, xi, base, "y", 0)
-    y2 = _separation_component(t, xi, base, "y", 1)
-    T1 = _separation_component(t, xi, base, "T", 0)
-    T2 = _separation_component(t, xi, base, "T", 1)
+    dP, dX = log_gradient(_separation_vector(t, xi, base), x, Tx, h)
+    y1, y2, T1, T2 = (([d[k] for d in dP], [d[k] for d in dX]) for k in range(4))
     residuals = {
-        "y1_y2": abs(poisson_bracket(y1, y2, x, Tx, h)),
-        "Ty1_Ty2": abs(poisson_bracket(T1, T2, x, Tx, h)),
-        "Ty1_y2": abs(poisson_bracket(T1, y2, x, Tx, h)),
-        "Ty2_y1": abs(poisson_bracket(T2, y1, x, Tx, h)),
+        "y1_y2": abs(_bracket(*y1, *y2)),
+        "Ty1_Ty2": abs(_bracket(*T1, *T2)),
+        "Ty1_y2": abs(_bracket(*T1, *y2)),
+        "Ty2_y1": abs(_bracket(*T2, *y1)),
     }
     for idx, (Tf, yf) in enumerate(((T1, y1), (T2, y2))):
-        br = poisson_bracket(Tf, yf, x, Tx, h)
+        br = _bracket(*Tf, *yf)
         target = -1j * base.Ty[idx] * base.y[idx]
         residuals[f"Ty{idx + 1}_y{idx + 1}"] = abs(br - target) / max(abs(target), 1.0)
     worst = max(residuals.values())

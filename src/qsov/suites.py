@@ -290,18 +290,16 @@ def case_mutual_inverse(ctx: QContext, lam: Pair):
 
 def case_aw_draws(q: float, draws: int, seed: int, cfg: nk.NumericConfig):
     rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(draws):
-        params = nk.AWParams(
+    params = [
+        nk.AWParams(
             *(
                 cmath.rect(rng.uniform(0.0, 0.6), rng.uniform(0.0, 2 * math.pi))
                 for _ in range(4)
             )
         )
-        quad = nk.aw_integral(params, q, cfg)
-        closed = nk.aw_closed_form(params, q, cfg)
-        worst = max(worst, abs(quad - closed) / abs(closed))
-    return worst
+        for _ in range(draws)
+    ]
+    return nk.aw_integral_report(params, q, cfg)["max_err"]
 
 
 def case_aw_symmetry(cfg: nk.NumericConfig):

@@ -1,9 +1,12 @@
 import cmath
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsov import numkernel as nk
 from qsov import sov, suites
@@ -35,6 +38,59 @@ def test_qprod_inf_basics():
     assert abs(lhs - rhs) < CFG.tol_tight
     loose = nk.NumericConfig(prod_cutoff=1e-14)
     assert abs(nk.qprod_inf(q, q, loose) - nk.qprod_inf(q, q)) < 1e-12
+
+
+def _qprod_inf_out_of_place(a, q, cfg=CFG):
+    """Reference: the out-of-place loop qprod_inf ran before its fast paths."""
+    arr = np.asarray(a, dtype=complex)
+    amax = float(np.max(np.abs(arr))) if arr.size else 0.0
+    K = nk._trunc_order(amax, q, cfg.prod_cutoff)
+    out = np.ones_like(arr)
+    qk = 1.0
+    for _ in range(K):
+        out = out * (1.0 - arr * qk)
+        qk *= q
+    return out if arr.shape else complex(out)
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _near_unit(r):
+    # r in [0, 1) to |a| in [0.9, 1 - 1e-12), on a log scale of the distance to 1
+    return 1.0 - 10.0 ** (-1.0 - 11.0 * r)
+
+
+_moduli = st.one_of(st.floats(0.0, 0.999), st.floats(0.0, 1.0, exclude_max=True).map(_near_unit))
+_complex_draws = st.builds(cmath.rect, _moduli, st.floats(0.0, 2.0 * math.pi))
+_real_draws = st.builds(lambda r, sign: sign * r, _moduli, st.sampled_from((1.0, -1.0)))
+_qprod_scalars = st.one_of(
+    st.sampled_from((0, 0.0, 0j, np.float64(0.0))),
+    _real_draws,
+    _complex_draws,
+    _real_draws.map(np.float64),
+    _complex_draws.map(np.complex128),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_qprod_scalars, q=st.floats(0.05, 0.95))
+def test_qprod_inf_fast_paths_match_out_of_place_loop(a, q):
+    scalar = nk.qprod_inf(a, q)
+    assert type(scalar) is complex
+    assert _bits(scalar) == _bits(_qprod_inf_out_of_place(a, q))
+    # the array path, for one element and for a grid around a
+    for arr in (np.array([a]), a * nk.unit_nodes(7)):
+        assert nk.qprod_inf(arr, q).tobytes() == _qprod_inf_out_of_place(arr, q).tobytes()
+    # Scalar and array loops round each complex product on their own: numpy's
+    # array multiply may fuse multiply-adds (FMA), Python's complex multiply
+    # does not.  Real factors are unaffected, so real inputs agree exactly.
+    one = nk.qprod_inf(np.array([a]), q)[0]
+    if complex(a).imag == 0.0:
+        assert _bits(scalar) == _bits(one)
+    else:
+        assert abs(scalar - one) <= 1e-13 * abs(one)
 
 
 def test_qprod_ratio_matches_quotient():
@@ -116,6 +172,30 @@ def test_aw_integral_matches_closed_form():
             quad = nk.aw_integral(params, q)
             closed = nk.aw_closed_form(params, q)
             assert abs(quad - closed) / abs(closed) < 1e-10
+
+
+def test_aw_integral_list_matches_single_calls():
+    rng = random.Random(3)
+    draws = [
+        nk.AWParams(*(cmath.rect(rng.uniform(0, 0.6), rng.uniform(0, 2 * math.pi)) for _ in range(4)))
+        for _ in range(6)
+    ]
+    many = nk.aw_integral(draws, 0.3)
+    assert isinstance(many, list) and len(many) == len(draws)
+    assert nk.aw_integral(tuple(draws), 0.3) == many
+    for params, val in zip(draws, many):
+        single = nk.aw_integral(params, 0.3)
+        assert isinstance(single, complex)
+        assert val == single
+    rep = nk.aw_integral_report(draws, 0.3)
+    assert rep["values"] == many and rep["tol"] == CFG.tol_tight
+    closed = [nk.aw_closed_form(p, 0.3) for p in draws]
+    assert rep["errs"] == [abs(v - c) / abs(c) for v, c in zip(many, closed)]
+    assert rep["max_err"] == max(rep["errs"])
+    # every draw is checked, not only the worst
+    strict = nk.NumericConfig(tol_tight=min(rep["errs"]) / 2)
+    with pytest.raises(ToleranceExceeded):
+        nk.aw_integral(draws, 0.3, strict)
 
 
 def test_aw_integral_permutation_symmetry():
@@ -258,6 +338,87 @@ def test_group_law_kernel_costs_linear_q_products(monkeypatch):
     # the reference point still has to keep sqrt(q) r inside the unit disk
     with pytest.raises(ContourUnsupported):
         nk.fractional_on_nodes(0.7, 3.0, fvals, 0.25)
+
+
+_REFLECTION_CS = (0.0, 0.5, -0.3 + 0.4j, 0.99, 0.99j, cmath.rect(0.99, 2.0), cmath.rect(0.7, -1.1))
+
+
+def _reflection_bound(pairs):
+    """Relative bound for reflected vs direct products of (c z, c/z; q)_inf.
+
+    On the node grid 1/x_j is x_(-j mod n) only up to rounding: the two
+    differ by about 2e-16, and by twice that for x^2.  A factor 1 - c z near
+    zero amplifies that by 1/|1 - c z| in the direct and the reflected form
+    alike (100-fold at c z = 0.99).  So the bound is 1e-14 where every factor
+    is at least 0.5 from zero, and grows as 1/gap below.
+    """
+    gap = np.min([np.minimum(np.abs(1.0 - c * z), np.abs(1.0 - c / z)) for c, z in pairs], axis=0)
+    # a zero factor (x^2 = 1 at x = 1) makes both forms exactly 0
+    return 1e-14 * np.maximum(1.0, 0.5 / np.maximum(gap, 1e-300))
+
+
+@pytest.mark.parametrize("n", (8, 64, 201, 2048))
+def test_qprod_pair_nodes_matches_direct_products(n):
+    # the reflection holds for odd n too
+    x, q = nk.unit_nodes(n), 0.3
+    for z in (x, x ** 2):
+        for c in _REFLECTION_CS:
+            ref = nk.qprod_inf(c * z, q) * nk.qprod_inf(c / z, q)
+            got = nk.qprod_pair_nodes(c, z, q)
+            bound = _reflection_bound([(c, z)])
+            assert np.all(np.abs(got - ref) <= bound * np.abs(ref)), (n, c)
+            if abs(c) <= 0.7:
+                assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (n, c)
+
+
+@pytest.mark.parametrize("n", (8, 64, 201, 2048))
+def test_node_grid_weights_match_general_point_weights(n):
+    x, q = nk.unit_nodes(n), 0.25
+    params = [
+        nk.AWParams(0.3, -0.2, 0.1j, 0.4),
+        nk.AWParams(0.5 + 0.1j, -0.35j, 0.45, -0.2 + 0.3j),
+        nk.AWParams(0.9, cmath.rect(0.95, 1.0), -0.6j, 0.0),
+    ]
+    for p, got in zip(params, nk.aw_weights_on_nodes(x, params, q)):
+        ref = nk.aw_weight(x, p, q)
+        bound = _reflection_bound([(1.0, x ** 2)] + [(z, x) for z in p.as_tuple()])
+        assert np.all(np.abs(got - ref) <= bound * np.abs(ref)), (n, p)
+    assert np.allclose(
+        nk.lambda_q_nodes(0.6, cmath.exp(0.35j), x, q),
+        nk.lambda_q(0.6, cmath.exp(0.35j), x, q),
+        rtol=1e-14, atol=0.0,
+    )
+
+
+def _count_array_qprod_inf(monkeypatch):
+    calls = []
+    qprod_inf = nk.qprod_inf
+
+    def counting(a, q, cfg=CFG):
+        if np.ndim(a):
+            calls.append(np.size(a))
+        return qprod_inf(a, q, cfg)
+
+    monkeypatch.setattr(nk, "qprod_inf", counting)
+    return calls
+
+
+def test_node_grid_kernels_reflect_q_products(monkeypatch):
+    # each (c x, c/x; q)_inf on the node grid is one array q-product;
+    # evaluating both halves directly took 10 for each of these
+    calls = _count_array_qprod_inf(monkeypatch)
+    nk._aw_quadrature([nk.AWParams(0.3, -0.2, 0.1j, 0.4)], 0.25, 2048, CFG)
+    assert 0 < len(calls) <= 5
+    calls.clear()
+    ctx = QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
+    q, t = float(ctx.q), float(ctx.t)
+    y1, y2, yp = t * cmath.exp(-0.6j), t * cmath.exp(-1.1j), t * cmath.exp(-0.85j)
+    nk.apply_M_xi_numeric(sov.basis("p", Pair(0, 1), ctx), ctx.g, q, 1.5, y1, y2, yp)
+    assert 0 < len(calls) <= 5
+    # the common numerator is shared by a list of weights
+    calls.clear()
+    nk._aw_quadrature([nk.AWParams(0.3, -0.2, 0.1j, 0.4)] * 3, 0.25, 2048, CFG)
+    assert len(calls) == 1 + 3 * 4
 
 
 def test_group_law_kernel_matches_mpmath_quadrature():

@@ -143,6 +143,53 @@ def test_canonicity_and_richardson():
         assert rj.richardson_report(p.x, p.Tx, T, XI)["tested"]
 
 
+def _canonicity_residuals_per_bracket(x, Tx, t, xi, h=1e-5):
+    """Reference: each bracket from poisson_bracket on scalar component functions."""
+    base = rj.separation_variables(x, Tx, t, xi)
+
+    def component(idx):
+        def fn(xv, Tv):
+            data = rj.separation_variables(xv, Tv, t, xi, ref=base.y, check=False)
+            return (*data.y, *data.Ty)[idx]
+
+        return fn
+
+    y1, y2, T1, T2 = (component(k) for k in range(4))
+    residuals = {
+        "y1_y2": abs(rj.poisson_bracket(y1, y2, x, Tx, h)),
+        "Ty1_Ty2": abs(rj.poisson_bracket(T1, T2, x, Tx, h)),
+        "Ty1_y2": abs(rj.poisson_bracket(T1, y2, x, Tx, h)),
+        "Ty2_y1": abs(rj.poisson_bracket(T2, y1, x, Tx, h)),
+    }
+    for idx, (Tf, yf) in enumerate(((T1, y1), (T2, y2))):
+        br = rj.poisson_bracket(Tf, yf, x, Tx, h)
+        target = -1j * base.Ty[idx] * base.y[idx]
+        residuals[f"Ty{idx + 1}_y{idx + 1}"] = abs(br - target) / max(abs(target), 1.0)
+    return residuals
+
+
+def test_canonicity_solves_each_stencil_point_once(monkeypatch):
+    rng = random.Random(15)
+    points = [rj.random_phase_point(rng, 2) for _ in range(3)]
+    refs = [_canonicity_residuals_per_bracket(p.x, p.Tx, T, XI) for p in points]
+    solves = []
+    solve = rj.separation_variables
+
+    def counting(*args, **kwargs):
+        solves.append(args[:2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rj, "separation_variables", counting)
+    for p, ref in zip(points, refs):
+        solves.clear()
+        rep = rj.canonicity_check(p.x, p.Tx, T, XI)
+        # the base point, then 4 stencil points for each of 2 momenta and 2 coordinates
+        assert len(solves) <= 17
+        assert rep["residuals"] == ref
+        assert list(rep["residuals"]) == list(ref)
+        assert rep["max"] == max(ref.values())
+
+
 def _suite_canonicity_points(seed=0):
     for name, _, _, args in suites._ruijsenaars_cases(DEFAULT_CONFIG, seed):
         if name.startswith("canonicity["):

@@ -21,7 +21,7 @@ installed).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import NotDivisible, PoleError
@@ -121,12 +121,18 @@ class QContext:
 
     s must lie in (0, 1) so that 0 < q, t < 1; xi must be nonzero.  g is kept
     integral so that the inverse separating operator is a genuine difference
-    operator and every half power of t stays rational.
+    operator and every half power of t stays rational.  q, t, sqrt_t and the
+    hash are computed once, in __post_init__; equality compares (s, g, xi)
+    only, as ints, and a pickle carries those three alone.  Everything else
+    memoized for the context lives in tables(ctx), never on the context.
     """
 
     s: object
     g: int
     xi: object
+    q: object = field(init=False, repr=False, compare=False)
+    t: object = field(init=False, repr=False, compare=False)
+    sqrt_t: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "s", as_rational(self.s))
@@ -137,30 +143,31 @@ class QContext:
             raise ValueError("s must satisfy 0 < s < 1")
         if self.xi == 0:
             raise ValueError("xi must be nonzero")
+        s, g, xi = self.s, self.g, self.xi
+        object.__setattr__(self, "q", s ** 2)
+        object.__setattr__(self, "t", s ** (2 * g))
+        object.__setattr__(self, "sqrt_t", s ** g)
+        object.__setattr__(self, "_key", (s.numerator, s.denominator, g, xi.numerator, xi.denominator))
+        object.__setattr__(self, "_hash", hash((s, g, xi)))
 
-    @property
-    def q(self):
-        return self.s ** 2
+    def __eq__(self, other):
+        if not isinstance(other, QContext):
+            return NotImplemented
+        return self._key == other._key
 
-    @property
-    def t(self):
-        return self.s ** (2 * self.g)
+    def __hash__(self):
+        return self._hash
 
-    @property
-    def sqrt_t(self):
-        return self.s ** self.g
+    def __reduce__(self):
+        return (QContext, (self.s, self.g, self.xi))
 
     def qh(self, m: int):
         """q^(m/2) = s^m for any integer m."""
-        return self.s ** m
+        return tables(self).spow(m)
 
     def th(self, m: int):
         """t^(m/2) = s^(g*m) for any integer m."""
-        return self.s ** (self.g * m)
-
-    def poch(self, a, n: int):
-        """(a; q)_n in this context."""
-        return qpochhammer(a, self.q, n)
+        return tables(self).spow(self.g * m)
 
     def label(self) -> str:
         return f"s={rational_str(self.s)},g={self.g},xi={rational_str(self.xi)}"
@@ -200,6 +207,121 @@ def qbinomial(n: int, k: int, qbase):
     num = qpochhammer(qbase, qbase, n)
     den = qpochhammer(qbase, qbase, k) * qpochhammer(qbase, qbase, n - k)
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# Per-context tables
+# ---------------------------------------------------------------------------
+
+class _PochArray:
+    """(a; q)_n of one base a for every int n, grown one factor per new entry.
+
+    arr[n] equals qpochhammer(a, q, n), the reciprocal convention included,
+    and raises the same PoleError where that has a pole.
+    """
+
+    __slots__ = ("a", "_qpow", "_up", "_down")
+
+    def __init__(self, a, qpow):
+        self.a = a
+        self._qpow = qpow
+        self._up = [ONE]  # _up[n] = (a; q)_n
+        self._down = [ONE]  # _down[n] = (a; q)_-n
+
+    def __getitem__(self, n: int):
+        if n >= 0:
+            if n >= len(self._up):
+                self._extend(n)
+            return self._up[n]
+        if -n >= len(self._down):
+            self._extend(n)
+        return self._down[-n]
+
+    def _extend(self, n: int) -> None:
+        """Grow the side of n up to index |n|."""
+        a, qpow = self.a, self._qpow
+        if n >= 0:
+            up = self._up
+            for k in range(len(up) - 1, n):
+                up.append(up[k] * (ONE - a * qpow(k)))
+            return
+        down = self._down
+        for k in range(len(down), 1 - n):
+            factor = ONE - a * qpow(-k)
+            if factor == 0:
+                raise PoleError(f"(a;q)_{n} pole: a*q^-{k} = 1 for a={a}, q={qpow(1)}")
+            down.append(down[k - 1] / factor)
+
+
+class ContextTables:
+    """What the exact layer memoizes for one context, indexed by int where it can be.
+
+    spow(m) is s^m for any int m, and qpow(k), tpow(k) are q^k and t^k from
+    it.  poch_q, poch_t, poch_tq and poch_tt are the (a; q)_n arrays of
+    a = q, t, t q and t^2, and pochhammer(a) is the array of any base a (equal
+    bases share one array).  The dicts are filled by the modules named:
+    factors (sov: per-width basis factors by tag), multipliers (sov:
+    (exponent, width) -> eigen-multiplier), rows (sov: (base, lam, route) ->
+    transition row), macdonald (macdonald: lam -> P_lam) and separated
+    (macdonald: width -> phi_width).  Entries are never mutated once stored.
+    """
+
+    def __init__(self, ctx: QContext):
+        self.ctx = ctx
+        self._up = [ONE]  # _up[m] = s^m
+        self._down = [ONE]  # _down[m] = s^-m
+        self._arrays = {}
+        self.poch_q = self.pochhammer(ctx.q)
+        self.poch_t = self.pochhammer(ctx.t)
+        self.poch_tq = self.pochhammer(ctx.t * ctx.q)
+        self.poch_tt = self.pochhammer(ctx.t ** 2)
+        self.factors = {}
+        self.multipliers = {}
+        self.rows = {}
+        self.macdonald = {}
+        self.separated = {}
+
+    def spow(self, m: int):
+        """s^m for any int m."""
+        if m >= 0:
+            powers, step = self._up, self.ctx.s
+        else:
+            powers, step, m = self._down, ONE / self.ctx.s, -m
+        while len(powers) <= m:
+            powers.append(powers[-1] * step)
+        return powers[m]
+
+    def qpow(self, k: int):
+        """q^k for any int k."""
+        return self.spow(2 * k)
+
+    def tpow(self, k: int):
+        """t^k for any int k."""
+        return self.spow(2 * self.ctx.g * k)
+
+    def pochhammer(self, a) -> _PochArray:
+        """The (a; q)_n array of base a, made on first use."""
+        a = as_rational(a)
+        arr = self._arrays.get(a)
+        if arr is None:
+            arr = self._arrays[a] = _PochArray(a, self.qpow)
+        return arr
+
+
+_TABLES: dict = {}
+
+
+def tables(ctx: QContext) -> ContextTables:
+    """The ContextTables shared by ctx and every context equal to it."""
+    tab = _TABLES.get(ctx)
+    if tab is None:
+        tab = _TABLES[ctx] = ContextTables(ctx)
+    return tab
+
+
+def clear_tables() -> None:
+    """Drop every context's tables; each is rebuilt, cold, on its next use."""
+    _TABLES.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +579,10 @@ class Laurent1(_Laurent):
         m, D = _power_table(as_rational(factor), lo, max(self._n))
         return self._make({k: v * m[k - lo] for k, v in self._n.items()}, self._d * D)
 
+    def shifted(self, d: int) -> "Laurent1":
+        """y^d * self: moves every exponent and keeps the numerators."""
+        return self._wrap({k + d: v for k, v in self._n.items()}, self._d)
+
     def tensor(self, other: "Laurent1") -> "Laurent2":
         """self(x1) * other(x2) as a two-variable polynomial."""
         right = list(other._n.items())
@@ -560,7 +686,7 @@ def qshift(p, j: int, s_steps: int, ctx: QContext):
     s_steps = 2 is the plain q-shift T_{q,x_j}; s_steps = 1 shifts by q^(1/2);
     negative counts give inverse shifts.  Exactness is preserved.
     """
-    factor = ctx.s ** s_steps
+    factor = tables(ctx).spow(s_steps)
     if j == 0:
         return p.subs_scale(factor, ONE)
     if j == 1:

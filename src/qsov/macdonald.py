@@ -9,7 +9,6 @@ equation whose spectral parameters are the H-eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import IdentityViolation, NotPolynomial
 from .exact import (
@@ -20,7 +19,7 @@ from .exact import (
     QContext,
     ZERO,
     divide_exact,
-    qpochhammer,
+    tables,
 )
 
 
@@ -33,8 +32,9 @@ class Spectrum:
 
 
 def spectrum(lam: Pair, ctx: QContext) -> Spectrum:
-    h1 = ctx.th(-1) * ctx.q ** lam.l1 + ctx.th(1) * ctx.q ** lam.l2
-    h2 = ctx.q ** lam.total
+    qpow = tables(ctx).qpow
+    h1 = ctx.th(-1) * qpow(lam.l1) + ctx.th(1) * qpow(lam.l2)
+    h2 = qpow(lam.total)
     return Spectrum(h1=h1, h2=h2)
 
 
@@ -59,32 +59,29 @@ def monomial(lam: Pair) -> Laurent2:
 
 def u_coeff(lam: Pair, nu: Pair, ctx: QContext):
     """Expansion coefficient of m_nu in P_lam (nu inside lam, same total)."""
-    q, t = ctx.q, ctx.t
-    w = lam.width
-    return (
-        qpochhammer(q, q, w)
-        / qpochhammer(t, q, w)
-        * qpochhammer(t, q, nu.l1 - lam.l1)
-        / qpochhammer(q, q, nu.l1 - lam.l1)
-        * qpochhammer(t, q, lam.l2 - nu.l1)
-        / qpochhammer(q, q, lam.l2 - nu.l1)
-    )
+    tab = tables(ctx)
+    pq, pt = tab.poch_q, tab.poch_t
+    w, a, b = lam.width, nu.l1 - lam.l1, lam.l2 - nu.l1
+    return pq[w] / pt[w] * pt[a] / pq[a] * pt[b] / pq[b]
 
 
-@lru_cache(maxsize=None)
 def macdonald_poly(lam: Pair, ctx: QContext) -> MacdonaldPoly:
     """P_lam as the triangular monomial-basis expansion (unit leading term).
 
-    Cached per (lam, ctx); the result and its .poly are shared and must not
-    be mutated.
+    Stored per lam in the context's tables; the result and its .poly are
+    shared and must not be mutated.
     """
-    total = lam.total
-    poly = Laurent2()
-    for nu1 in range(lam.l1, total // 2 + 1):
-        nu2 = total - nu1
-        nu = Pair(nu1, nu2)
-        poly = poly + monomial(nu) * u_coeff(lam, nu, ctx)
-    return MacdonaldPoly(label=lam, poly=poly)
+    cache = tables(ctx).macdonald
+    mp = cache.get(lam)
+    if mp is None:
+        total = lam.total
+        poly = Laurent2()
+        for nu1 in range(lam.l1, total // 2 + 1):
+            nu2 = total - nu1
+            nu = Pair(nu1, nu2)
+            poly = poly + monomial(nu) * u_coeff(lam, nu, ctx)
+        mp = cache[lam] = MacdonaldPoly(label=lam, poly=poly)
+    return mp
 
 
 _X1_MINUS_X2 = Laurent2({(1, 0): ONE, (0, 1): -ONE})
@@ -129,28 +126,39 @@ def check_eigen(lam: Pair, ctx: QContext) -> bool:
 # ---------------------------------------------------------------------------
 
 def separated_poly(lam: Pair, ctx: QContext) -> SeparatedPoly:
-    """f_lam(y) = sum_{k=l1}^{l2} chi_k y^k with the explicit chi ratios.
+    """f_lam(y) = sum_{k=l1}^{l2} chi_k y^k = y^l1 phi_width(y) with the explicit chi ratios.
 
-    The ratio's denominator never vanishes: 1 - q^j has j >= 1, and
-    1 - a_den q^(j-1) = 1 - q^(j-n-g) has j - n - g <= -g < 0, while
-    q^m = 1 only for m = 0 because 0 < q < 1.
+    phi_width depends on the label only through its width; it is built once
+    per width and stored in the context's tables.
     """
-    q, t = ctx.q, ctx.t
-    n = lam.width
-    base = t ** -2 * q
-    a_num1 = t
-    a_num2 = q ** -n
-    a_den = (ONE / t) * q ** (1 - n)
+    cache = tables(ctx).separated
+    phi = cache.get(lam.width)
+    if phi is None:
+        phi = cache[lam.width] = _separated_factor(lam.width, ctx)
+    return SeparatedPoly(label=lam, poly=phi.shifted(lam.l1))
+
+
+def _separated_factor(n: int, ctx: QContext) -> Laurent1:
+    """phi_n(y) = sum_{j=0}^{n} chi_j y^j, chi_0 = 1, chi_j / chi_(j-1) = base num_j / den_j.
+
+    In powers of s, with t = s^(2g): base = q t^-2, num_j = (1 - t q^(j-1))
+    (1 - q^(j-1-n)) and den_j = (1 - q^j)(1 - t^-1 q^(j-n)).  The denominator
+    never vanishes: 1 - q^j has j >= 1, and 1 - t^-1 q^(j-n) = 1 - q^(j-n-g)
+    has j - n - g <= -g < 0, while q^m = 1 only for m = 0 because 0 < q < 1.
+    """
+    tab = tables(ctx)
+    spow, qpow, g = tab.spow, tab.qpow, ctx.g
+    base = spow(2 - 4 * g)
     coeffs = {}
     chi = ONE
-    coeffs[lam.l1] = chi
+    coeffs[0] = chi
     for j in range(1, n + 1):
-        num = (ONE - a_num1 * q ** (j - 1)) * (ONE - a_num2 * q ** (j - 1))
-        den = (ONE - q ** j) * (ONE - a_den * q ** (j - 1))
+        num = (ONE - spow(2 * (g + j - 1))) * (ONE - qpow(j - 1 - n))
+        den = (ONE - qpow(j)) * (ONE - spow(2 * (j - n - g)))
         chi = chi * base * num / den
         if chi != 0:
-            coeffs[lam.l1 + j] = chi
-    return SeparatedPoly(label=lam, poly=Laurent1(coeffs))
+            coeffs[j] = chi
+    return Laurent1(coeffs)
 
 
 def _poch_factors(base, q, count: int) -> list:

@@ -10,7 +10,7 @@ q-binomial series and compares coefficients order by order.
 from __future__ import annotations
 
 from .errors import IdentityViolation
-from .exact import Laurent1, ONE, QContext, as_rational, qpochhammer
+from .exact import Laurent1, ONE, QContext, as_rational, tables
 
 
 def cq_sum(n: int, beta, ctx: QContext) -> Laurent1:
@@ -84,8 +84,8 @@ def generating_function_check(N: int, beta, ctx: QContext) -> bool:
 
 def leading_coefficient(n: int, beta, ctx: QContext):
     """Coefficient of w^n in C_n: (beta;q)_n/(q;q)_n."""
-    beta = as_rational(beta)
-    return qpochhammer(beta, ctx.q, n) / qpochhammer(ctx.q, ctx.q, n)
+    tab = tables(ctx)
+    return tab.pochhammer(beta)[n] / tab.poch_q[n]
 
 
 def cq_to_onevariable(lam, ctx: QContext) -> Laurent1:
@@ -95,10 +95,11 @@ def cq_to_onevariable(lam, ctx: QContext) -> Laurent1:
     which collapses to sum_k c_k t^(-k) y^(l1+k) with c_k the C-coefficients.
     """
     n = lam.width
+    tab = tables(ctx)
     c = cq_sum(n, ctx.t, ctx)
-    scale = qpochhammer(ctx.q, ctx.q, n) / qpochhammer(ctx.t, ctx.q, n)
+    scale = tab.poch_q[n] / tab.poch_t[n]
     out = Laurent1()
     for k in range(n + 1):
         ck = c.coeff(n - 2 * k)
-        out = out + Laurent1.term(lam.l1 + k, scale * ck * ctx.t ** (-k))
+        out = out + Laurent1.term(lam.l1 + k, scale * ck * tab.tpow(-k))
     return out

@@ -24,12 +24,9 @@ from .exact import (
     divide_exact,
     linear_combination,
     pairs_under,
-    qbinomial,
-    qpochhammer,
     qshift,
+    tables,
 )
-
-_poch = lru_cache(maxsize=None)(qpochhammer)
 
 BASIS_TAGS = ("p", "r", "pt", "rt")
 
@@ -77,14 +74,17 @@ def _basis_param(tag: str, ctx: QContext):
     if tag == "r":
         return False, ctx.t * ctx.xi
     if tag == "rt":
-        return False, ctx.t ** 2
+        return False, tables(ctx).tpow(2)
     raise ValueError(f"unknown basis tag {tag!r}")
 
 
-@lru_cache(maxsize=None)
 def _factor_table(tag: str, ctx: QContext) -> list:
     """[factor(0), factor(1), ...] for (tag, ctx), grown by _factor; entries are never mutated."""
-    return [Laurent2.one()]
+    factors = tables(ctx).factors
+    table = factors.get(tag)
+    if table is None:
+        table = factors[tag] = [Laurent2.one()]
+    return table
 
 
 def _factor(tag: str, width: int, ctx: QContext) -> Laurent2:
@@ -97,9 +97,9 @@ def _factor(tag: str, width: int, ctx: QContext) -> Laurent2:
     if len(table) <= width:
         forward, a = _basis_param(tag, ctx)
         e = 1 if forward else -1
-        q = ctx.q
+        qpow = tables(ctx).qpow
         for k in range(len(table) - 1, width):
-            c = a * q ** k
+            c = a * qpow(k)
             table.append(table[k] * _linear(c, e, 0) * _linear(c, 0, e))
     return table[width]
 
@@ -122,7 +122,7 @@ def _leading(tag: str, nu: Pair, ctx: QContext):
     """Coefficient of the extreme monomial (nu1, nu2) in basis(tag, nu)."""
     m = nu.width
     _, a = _basis_param(tag, ctx)
-    return (-a) ** m * ctx.q ** (m * (m - 1) // 2)
+    return (-a) ** m * tables(ctx).qpow(m * (m - 1) // 2)
 
 
 def _pivot(support) -> Pair:
@@ -165,15 +165,15 @@ def reassemble(exp: BasisExpansion, ctx: QContext) -> Laurent2:
 # Diagonal action and the separating map
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _multiplier(e: int, m: int, ctx: QContext):
-    """t^-e xi^(2e) (t;q)_m / (t^2;q)_m, cached per (e, m, ctx)."""
-    return (
-        ctx.t ** (-e)
-        * ctx.xi ** (2 * e)
-        * _poch(ctx.t, ctx.q, m)
-        / _poch(ctx.t ** 2, ctx.q, m)
-    )
+    """t^-e xi^(2e) (t;q)_m / (t^2;q)_m, stored per (e, m) in the context's tables."""
+    tab = tables(ctx)
+    value = tab.multipliers.get((e, m))
+    if value is None:
+        value = tab.multipliers[(e, m)] = (
+            tab.tpow(-e) * ctx.xi ** (2 * e) * tab.poch_t[m] / tab.poch_tt[m]
+        )
+    return value
 
 
 def mu_p(nu: Pair, ctx: QContext):
@@ -215,26 +215,30 @@ def apply_M_inverse_qdiff(p: Laurent2, ctx: QContext) -> Laurent2:
     denominator divides a common product over x2/x1 ratios; the terms are
     summed over that common denominator and the final division is exact.
     """
-    g, q, t, xi = ctx.g, ctx.q, ctx.t, ctx.xi
-    denom = Laurent2({(0, 0): _poch(t, q, g)})
+    g = ctx.g
+    tab = tables(ctx)
+    qpow, poch_q = tab.qpow, tab.poch_q
+    xi_inv, t_xi = ONE / ctx.xi, ctx.t * ctx.xi
+    denom = Laurent2({(0, 0): tab.poch_t[g]})
     for j in range(-g, g + 1):
-        denom = denom * _linear(q ** j, -1, 1)
+        denom = denom * _linear(qpow(j), -1, 1)
     accum = Laurent2()
     for k in range(g + 1):
-        coef = (-ONE) ** k * ctx.qh(-k * (k - 1)) * qbinomial(g, k, q)
+        # the Gaussian binomial [g over k]_q from the (q; q)_n array
+        coef = (-ONE) ** k * tab.spow(-k * (k - 1)) * (poch_q[g] / (poch_q[k] * poch_q[g - k]))
         nk = Laurent2.term(-k, k, coef)
-        nk = nk * _linear(q ** (g - 2 * k), -1, 1)
+        nk = nk * _linear(qpow(g - 2 * k), -1, 1)
         for i in range(k):
-            nk = nk * _linear((ONE / xi) * q ** i, 1, 0)
-            nk = nk * _linear(t * xi * q ** i, 0, -1)
+            nk = nk * _linear(xi_inv * qpow(i), 1, 0)
+            nk = nk * _linear(t_xi * qpow(i), 0, -1)
         for i in range(g - k):
-            nk = nk * _linear((ONE / xi) * q ** i, 0, 1)
-            nk = nk * _linear(t * xi * q ** i, -1, 0)
+            nk = nk * _linear(xi_inv * qpow(i), 0, 1)
+            nk = nk * _linear(t_xi * qpow(i), -1, 0)
         for j in range(-g, -k):
-            nk = nk * _linear(q ** j, -1, 1)
+            nk = nk * _linear(qpow(j), -1, 1)
         for j in range(g - k + 1, g + 1):
-            nk = nk * _linear(q ** j, -1, 1)
-        shifted = p.subs_scale((ONE / xi) * q ** k, (ONE / xi) * t * q ** (-k))
+            nk = nk * _linear(qpow(j), -1, 1)
+        shifted = p.subs_scale(xi_inv * qpow(k), xi_inv * ctx.t * qpow(-k))
         accum = accum + nk * shifted
     return divide_exact(accum, denom)
 
@@ -269,16 +273,17 @@ def separate(lam: Pair, ctx: QContext) -> SeparatingImage:
 
 def jacobian_coeffs(nu: Pair, j: int, ctx: QContext):
     """(a, b, c) with H_j r_nu = a r_nu + b r_(nu1+1,nu2) + c r_(nu1,nu2-1)."""
-    q, t, xi = ctx.q, ctx.t, ctx.xi
+    tab = tables(ctx)
+    qpow, xi = tab.qpow, ctx.xi
     m = nu.width
     if j == 1:
-        a = ctx.th(-1) * q ** nu.l1 + ctx.th(1) * q ** nu.l2
-        b = -ctx.th(-1) * q ** nu.l1 * (ONE - q ** m)
-        c = ctx.th(5) * xi ** 2 * q ** (-nu.l1 + 2 * nu.l2 - 2) * (ONE - q ** m)
+        a = ctx.th(-1) * qpow(nu.l1) + ctx.th(1) * qpow(nu.l2)
+        b = -ctx.th(-1) * qpow(nu.l1) * (ONE - qpow(m))
+        c = ctx.th(5) * xi ** 2 * qpow(-nu.l1 + 2 * nu.l2 - 2) * (ONE - qpow(m))
     elif j == 2:
-        a = q ** nu.total
-        b = -q ** nu.total * (ONE - q ** m)
-        c = t ** 2 * xi ** 2 * q ** (2 * nu.l2 - 2) * (ONE - q ** m)
+        a = qpow(nu.total)
+        b = -qpow(nu.total) * (ONE - qpow(m))
+        c = tab.tpow(2) * xi ** 2 * qpow(2 * nu.l2 - 2) * (ONE - qpow(m))
     else:
         raise ValueError("j must be 1 or 2")
     return a, b, c
@@ -301,10 +306,10 @@ def check_jacobian_action(nu: Pair, j: int, ctx: QContext) -> bool:
 
 def check_rt_shift_relations(nu: Pair, ctx: QContext) -> bool:
     """Cleared forms of the shift identities used to contract everything onto r~_nu."""
-    q, t = ctx.q, ctx.t
+    tab = tables(ctx)
     m = nu.width
     rt = basis("rt", nu, ctx)
-    c = q ** (m - 1) * t ** 2
+    c = tab.qpow(m - 1) * tab.tpow(2)
     factor = _linear(c, -1, 0) * _linear(c, 0, -1)
     if m >= 1:
         up = basis("rt", Pair(nu.l1 + 1, nu.l2), ctx)
@@ -317,8 +322,8 @@ def check_rt_shift_relations(nu: Pair, ctx: QContext) -> bool:
         lhs = qshift(rt, jdx, 2, ctx)
         e = (-1, 0) if jdx == 0 else (0, -1)
         fac_j = _linear(c, *e)
-        fac_r = _linear(t ** 2 / q, *e)
-        if lhs * fac_j != rt * fac_r * q ** nu.l2:
+        fac_r = _linear(tab.tpow(2) / ctx.q, *e)
+        if lhs * fac_j != rt * fac_r * tab.qpow(nu.l2):
             raise IdentityViolation(f"q-shift relation fails for nu={nu}, j={jdx + 1}")
     return True
 
@@ -327,16 +332,17 @@ def check_quantum_char_eq(nu: Pair, j: int, ctx: QContext) -> bool:
     """The three-term operator identity annihilates r_nu, exactly."""
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
-    q, t = ctx.q, ctx.t
+    spow, g = tables(ctx).spow, ctx.g
     jdx = j - 1
     ej = (1, 0) if jdx == 0 else (0, 1)
     r = basis("r", nu, ctx)
     m_r = apply_M_via_r(r, ctx)
     m_h1 = apply_M_via_r(macdonald.apply_H1(r, ctx), ctx)
     m_h2 = apply_M_via_r(macdonald.apply_H2(r, ctx), ctx)
-    term1 = _linear(q, *ej) * qshift(m_r, jdx, 4, ctx)
-    term2 = _linear(q / t, *ej) * qshift(m_h1, jdx, 2, ctx) * ctx.th(1)
-    term3 = _linear(q / t ** 2, *ej) * m_h2 * t
+    # q / t = s^(2-2g), q / t^2 = s^(2-4g) and t^(1/2) = s^g
+    term1 = _linear(ctx.q, *ej) * qshift(m_r, jdx, 4, ctx)
+    term2 = _linear(spow(2 - 2 * g), *ej) * qshift(m_h1, jdx, 2, ctx) * spow(g)
+    term3 = _linear(spow(2 - 4 * g), *ej) * m_h2 * ctx.t
     residual = term1 - term2 + term3
     if residual:
         raise IdentityViolation(
@@ -355,31 +361,17 @@ def _closed_entry(base: str, lam: Pair, nu: Pair, ctx: QContext):
     rho and pi share one Pochhammer magnitude, R and Q another; each kind
     adds its own power of t*xi or xi and its own power of q^(1/2).
     """
-    q, t, xi = ctx.q, ctx.t, ctx.xi
+    tab = tables(ctx)
+    pq, t, xi = tab.poch_q, ctx.t, ctx.xi
     m = nu.width
     if base in ("rho", "pi"):
-        num = (
-            _poch(t, q, nu.l2 - lam.l1)
-            * _poch(t, q, lam.l2 - nu.l1)
-            * _poch(q, q, lam.width)
-        )
-        den = (
-            _poch(q, q, lam.l2 - nu.l2)
-            * _poch(q, q, nu.l1 - lam.l1)
-            * _poch(t, q, m)
-            * _poch(t, q, lam.width)
-            * _poch(q, q, m)
-        )
+        pt = tab.poch_t
+        num = pt[nu.l2 - lam.l1] * pt[lam.l2 - nu.l1] * pq[lam.width]
+        den = pq[lam.l2 - nu.l2] * pq[nu.l1 - lam.l1] * pt[m] * pt[lam.width] * pq[m]
     else:
-        tq = t * q
-        num = _poch(tq, q, lam.width) * _poch(tq, q, m) * _poch(q, q, lam.width)
-        den = (
-            _poch(q, q, lam.l2 - nu.l2)
-            * _poch(q, q, nu.l1 - lam.l1)
-            * _poch(tq, q, nu.l2 - lam.l1)
-            * _poch(tq, q, lam.l2 - nu.l1)
-            * _poch(q, q, m)
-        )
+        ptq = tab.poch_tq
+        num = ptq[lam.width] * ptq[m] * pq[lam.width]
+        den = pq[lam.l2 - nu.l2] * pq[nu.l1 - lam.l1] * ptq[nu.l2 - lam.l1] * ptq[lam.l2 - nu.l1] * pq[m]
     squares = nu.l1 ** 2 + nu.l2 ** 2
     if base == "rho":
         power = (t * xi) ** (lam.total - 2 * nu.l2)
@@ -393,7 +385,8 @@ def _closed_entry(base: str, lam: Pair, nu: Pair, ctx: QContext):
     else:
         power = xi ** (2 * lam.l1 - nu.total)
         expo = 2 * lam.l1 ** 2 - 2 * (nu.total - 1) * lam.l1 - nu.total + squares
-    return (-ONE) ** m * power * ctx.qh(expo) * num / den
+    value = power * tab.spow(expo) * num / den
+    return -value if m % 2 else value
 
 
 def rho_diagonal(lam: Pair, ctx: QContext):
@@ -408,28 +401,29 @@ def R_diagonal(lam: Pair, ctx: QContext):
 
 def _rho_row_recurrence(lam: Pair, ctx: QContext) -> dict:
     """Row of rho coefficients grown from the diagonal seed by the two ladder moves."""
-    q, t, xi = ctx.q, ctx.t, ctx.xi
+    tab = tables(ctx)
+    qpow, t = tab.qpow, ctx.t
+    t2_xi2 = tab.tpow(2) * ctx.xi ** 2
 
     def step_down_nu2(nu: Pair):
         # coefficient in rho^(nu1, nu2+1) = C_b(nu) * rho^nu, used inverted
         m = nu.width
         return -(
-            (ONE - q ** (lam.l2 - nu.l2)) * (ONE - t * q ** (nu.l2 - lam.l1))
+            (ONE - qpow(lam.l2 - nu.l2)) * (ONE - t * qpow(nu.l2 - lam.l1))
         ) / (
-            q ** (nu.l2 - lam.l1)
-            * t ** 2
-            * xi ** 2
-            * (ONE - q ** (m + 1))
-            * (ONE - t * q ** m)
+            qpow(nu.l2 - lam.l1)
+            * t2_xi2
+            * (ONE - qpow(m + 1))
+            * (ONE - t * qpow(m))
         )
 
     def step_up_nu1(nu: Pair):
         # coefficient in rho^(nu1-1, nu2) = C_a(nu) * rho^nu, used inverted
         m = nu.width
         return -(
-            (ONE - q ** (nu.l1 - lam.l1)) * (ONE - t * q ** (lam.l2 - nu.l1))
+            (ONE - qpow(nu.l1 - lam.l1)) * (ONE - t * qpow(lam.l2 - nu.l1))
         ) / (
-            q ** (nu.l1 - lam.l1 - 1) * (ONE - q ** (m + 1)) * (ONE - t * q ** m)
+            qpow(nu.l1 - lam.l1 - 1) * (ONE - qpow(m + 1)) * (ONE - t * qpow(m))
         )
 
     row = {lam: rho_diagonal(lam, ctx)}
@@ -445,27 +439,28 @@ def _rho_row_recurrence(lam: Pair, ctx: QContext) -> dict:
 
 def _R_row_recurrence(lam: Pair, ctx: QContext) -> dict:
     """Row of R coefficients: for each nu, ladder the row label from nu up to lam."""
-    q, t, xi = ctx.q, ctx.t, ctx.xi
+    tab = tables(ctx)
+    qpow, t = tab.qpow, ctx.t
+    t2_xi2 = tab.tpow(2) * ctx.xi ** 2
 
     def grow_l2(mu: Pair, nu: Pair):
         # coefficient in R_(mu1, mu2-1) = D_b(mu) * R_mu, used inverted
         w = mu.width
         return (
-            (ONE - q ** (mu.l2 - nu.l2)) * (ONE - t * q ** (mu.l2 - nu.l1))
+            (ONE - qpow(mu.l2 - nu.l2)) * (ONE - t * qpow(mu.l2 - nu.l1))
         ) / (
-            q ** (2 * mu.l2 - nu.total - 2)
-            * t ** 2
-            * xi ** 2
-            * (ONE - q ** w)
-            * (ONE - t * q ** w)
+            qpow(2 * mu.l2 - nu.total - 2)
+            * t2_xi2
+            * (ONE - qpow(w))
+            * (ONE - t * qpow(w))
         )
 
     def grow_l1(mu: Pair, nu: Pair):
         # coefficient in R_(mu1+1, mu2) = D_a(mu) * R_mu, used inverted
         w = mu.width
         return (
-            (ONE - q ** (nu.l1 - mu.l1)) * (ONE - t * q ** (nu.l2 - mu.l1))
-        ) / ((ONE - q ** w) * (ONE - t * q ** w))
+            (ONE - qpow(nu.l1 - mu.l1)) * (ONE - t * qpow(nu.l2 - mu.l1))
+        ) / ((ONE - qpow(w)) * (ONE - t * qpow(w)))
 
     row = {}
     for nu in pairs_under(lam):
@@ -478,15 +473,19 @@ def _R_row_recurrence(lam: Pair, ctx: QContext) -> dict:
     return row
 
 
-@lru_cache(maxsize=None)
 def _base_row(base: str, lam: Pair, ctx: QContext, method: str) -> dict:
     """Nonzero entries of the rho, pi, Q or R row of lam, built by one route.
 
-    Cached per (base, lam, ctx, method), so the closed and recurrence routes
-    never read each other's rows.  pi and Q rows by recurrence come from the
-    rho and R rows of the reflected label through the involution.  The dict
-    is never mutated; transition_row hands out copies.
+    Stored per (base, lam, method) in the context's tables, so the closed
+    and recurrence routes never read each other's rows.  pi and Q rows by
+    recurrence come from the rho and R rows of the reflected label through
+    the involution.  The dict is never mutated; transition_row hands out
+    copies.
     """
+    rows = tables(ctx).rows
+    key = (base, lam, method)
+    if key in rows:
+        return rows[key]
     if method == "closed":
         entries = {nu: _closed_entry(base, lam, nu, ctx) for nu in pairs_under(lam)}
     elif base == "rho":
@@ -500,7 +499,8 @@ def _base_row(base: str, lam: Pair, ctx: QContext, method: str) -> dict:
             entries = {nu.bar(): v * scale ** (lam.total + 2 * nu.l2) for nu, v in bar.items()}
         else:
             entries = {nu.bar(): v * scale ** (2 * lam.l1 + nu.total) for nu, v in bar.items()}
-    return {nu: v for nu, v in entries.items() if v != 0}
+    row = rows[key] = {nu: v for nu, v in entries.items() if v != 0}
+    return row
 
 
 def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") -> TransitionRow:
@@ -510,9 +510,9 @@ def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") 
     method 'closed' uses the product formulas, 'recurrence' builds the row
     from the diagonal initial condition (pi/Q rows are obtained from rho/R
     rows of the reflected label through the involution).  The untilded row
-    is built once per (kind, lam, ctx, method) and cached by _base_row; a
+    is built once per (kind, lam, ctx, method) and stored by _base_row; a
     tilded row scales it by mu_p(nu), mu_r(nu), 1/mu_p(lam) or 1/mu_r(lam),
-    whose multipliers _multiplier caches.  entries is a fresh dict on every
+    whose multipliers _multiplier stores.  entries is a fresh dict on every
     call, so callers may change it without touching the caches.
     """
     base = kind[:-1] if kind.endswith("t") else kind
@@ -543,7 +543,7 @@ def involution_U(p: Laurent2, ctx: QContext) -> Laurent2:
 
 def involution_V(p: Laurent2, ctx: QContext) -> Laurent2:
     """y_j -> t^2 / y_j in both variables."""
-    return p.subs_invert_scale(ctx.t ** 2)
+    return p.subs_invert_scale(tables(ctx).tpow(2))
 
 
 _DIFF = Laurent2({(1, 0): ONE, (0, 1): -ONE})

@@ -1,3 +1,4 @@
+import pickle
 import random
 from math import gcd
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsov import exact
 from qsov.errors import NotDivisible, PoleError
 from qsov.exact import (
     Laurent1,
@@ -312,3 +314,20 @@ def test_rational_str():
     assert rational_str(frac(1, 2)) == "1/2"
     assert rational_str(frac(4, 2)) == "2"
     assert rational_str(frac(-3, 4)) == "-3/4"
+
+
+def test_context_constants_and_pickle_carry_no_table():
+    ctx = QContext(s=frac(2, 3), g=3, xi=frac(-5, 7))
+    assert (ctx.q, ctx.t, ctx.sqrt_t) == (frac(4, 9), frac(2, 3) ** 6, frac(8, 27))
+    assert hash(ctx) == hash((ctx.s, ctx.g, ctx.xi))
+    blob = pickle.dumps(ctx)
+    tab = exact.tables(ctx)
+    assert tab.poch_t[5] == qpochhammer(ctx.t, ctx.q, 5) and tab.spow(-9) == frac(3, 2) ** 9
+    tab.rows["marker"] = {}
+    assert pickle.dumps(ctx) == blob
+    back = pickle.loads(blob)
+    assert back == ctx and hash(back) == hash(ctx) and (back.q, back.t) == (ctx.q, ctx.t)
+    assert not any(isinstance(v, exact.ContextTables) for v in vars(back).values())
+    assert exact.tables(back) is tab
+    exact.clear_tables()
+    assert exact.tables(ctx) is not tab

@@ -4,7 +4,7 @@ import pytest
 
 from qsov import macdonald, qpoly, sov, suites
 from qsov.errors import IdentityViolation
-from qsov.exact import Laurent2, Pair, QContext, frac, random_symmetric
+from qsov.exact import Laurent2, Pair, QContext, frac, random_symmetric, tables
 
 CTX = QContext(s=frac(1, 2), g=1, xi=frac(1))
 CTX2 = QContext(s=frac(1, 3), g=2, xi=frac(3, 2))
@@ -109,7 +109,8 @@ def test_even_total_product_shape():
             assert lam.total % 2 == 0
             w = lam.width
             c = qpoly.cq_sum(w, ctx.t, ctx)
-            scale = ctx.poch(ctx.q, w) / ctx.poch(ctx.t, w)
+            tab = tables(ctx)
+            scale = tab.poch_q[w] / tab.poch_t[w]
             half = lam.total // 2
             build = Laurent2()
             for k in range(w + 1):

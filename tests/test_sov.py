@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsov import macdonald, sov
-from qsov.exact import Laurent2, Pair, QContext, frac, random_symmetric
+from qsov import exact, macdonald, sov
+from qsov.errors import PoleError
+from qsov.exact import Laurent2, Pair, QContext, frac, qpochhammer, random_symmetric, tables
 
 CTX = QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
 CTX2 = QContext(s=frac(1, 3), g=2, xi=frac(2))
@@ -222,15 +223,46 @@ def test_separating_image_fields():
 
 @st.composite
 def off_grid_contexts(draw):
-    """s = a/b with b <= 11, g <= 3, xi negative or not an integer: off the suites' grid."""
-    den = draw(st.integers(2, 11))
+    """s = a/b with b <= 13, g <= 5, xi negative or not an integer: off the suites' grid."""
+    den = draw(st.integers(2, 13))
     s = frac(draw(st.integers(1, den - 1)), den)
     xi = draw(
         st.builds(frac, st.integers(-9, 9).filter(bool), st.integers(1, 7)).filter(
             lambda v: v < 0 or v.denominator > 1
         )
     )
-    return QContext(s=s, g=draw(st.integers(1, 3)), xi=xi)
+    return QContext(s=s, g=draw(st.integers(1, 5)), xi=xi)
+
+
+def _poch_or_pole(fn, *args):
+    try:
+        return fn(*args)
+    except PoleError:
+        return PoleError
+
+
+@settings(max_examples=100, deadline=None)
+@given(ctx=off_grid_contexts())
+def test_context_tables_match_direct_formulas(ctx):
+    tab = tables(ctx)
+    bases = {
+        "q": (tab.poch_q, ctx.q),
+        "t": (tab.poch_t, ctx.t),
+        "tq": (tab.poch_tq, ctx.t * ctx.q),
+        "tt": (tab.poch_tt, ctx.t ** 2),
+    }
+    # both directions of growth, in an order that skips ahead and comes back
+    indices = [0, 8, -8, 3, -1, 1, -5, 7, 2, -2, -7, 4, -3, 6, -6, 5, -4]
+    for name, (arr, a) in bases.items():
+        assert tab.pochhammer(a) is arr, name
+        for n in indices:
+            expected = _poch_or_pole(qpochhammer, a, ctx.q, n)
+            assert _poch_or_pole(arr.__getitem__, n) == expected, (name, n)
+    for m in indices:
+        assert tab.spow(m) == ctx.s ** m, m
+        assert tab.qpow(m) == ctx.q ** m and tab.tpow(m) == ctx.t ** m, m
+        assert ctx.qh(m) == ctx.s ** m and ctx.th(m) == ctx.s ** (ctx.g * m), m
+    assert tables(QContext(s=ctx.s, g=ctx.g, xi=ctx.xi)) is tab
 
 
 labels = st.builds(
@@ -250,6 +282,15 @@ def test_basis_table_properties(ctx, nu):
     for kind in ("rho", "pi", "Q", "R", "rhot", "pit", "Qt", "Rt"):
         closed = sov.transition_row(kind, nu, ctx, "closed")
         assert closed.entries == sov.transition_row(kind, nu, ctx, "recurrence").entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(ctx=off_grid_contexts(), nu=labels)
+def test_char_eq_and_jacobian_action_off_grid(ctx, nu):
+    for j in (1, 2):
+        assert sov.check_quantum_char_eq(nu, j, ctx)
+        assert sov.check_jacobian_action(nu, j, ctx)
+    assert sov.check_rt_shift_relations(nu, ctx)
 
 
 @settings(max_examples=100, deadline=None)
@@ -292,7 +333,7 @@ def test_basis_is_shifted_width_factor(ctx, nu):
 
 def test_basis_cold_cache_any_order():
     sov.basis.cache_clear()
-    sov._factor_table.cache_clear()
+    exact.clear_tables()
     ctx3 = QContext(s=frac(3, 5), g=3, xi=frac(-5, 7))
     # wide before narrow, contexts interleaved, widths skipped and revisited
     order = [

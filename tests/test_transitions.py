@@ -1,6 +1,6 @@
 import pytest
 
-from qsov import macdonald, sov, suites
+from qsov import exact, macdonald, qpoly, sov, suites
 from qsov.exact import Laurent2, Pair, QContext, frac, pairs_under, qpochhammer
 
 CTX = QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
@@ -103,12 +103,10 @@ def test_mutual_inverse_identities(ctx):
 
 @pytest.fixture
 def cold_rows():
-    """Empty row and multiplier caches before the test, and drop what it cached after."""
-    sov._base_row.cache_clear()
-    sov._multiplier.cache_clear()
+    """Empty the per-context tables (rows, multipliers) before the test, and drop what it stored after."""
+    exact.clear_tables()
     yield
-    sov._base_row.cache_clear()
-    sov._multiplier.cache_clear()
+    exact.clear_tables()
 
 
 def _doubled(fn):
@@ -191,3 +189,49 @@ def test_cold_cache_tilded_first_two_contexts(cold_rows):
         got = list(entries.items()) if method == "closed" else entries
         want = expected if method == "closed" else dict(expected)
         assert got == want, (kind, ctx, lam, method)
+
+
+def test_transitions_suite_builds_each_table_entry_once(monkeypatch):
+    """Cold tables: every (base, n) Pochhammer entry and every phi_width is built at most once."""
+    exact.clear_tables()
+    built = []  # (base, n) of every Pochhammer entry made
+    extend = exact._PochArray._extend
+
+    def counting_extend(arr, n):
+        side = arr._up if n >= 0 else arr._down
+        before = len(side)
+        try:
+            extend(arr, n)
+        finally:
+            sign = 1 if n >= 0 else -1
+            built.extend((arr.a, sign * k) for k in range(before, len(side)))
+
+    widths = []
+    factor = macdonald._separated_factor
+
+    def counting_factor(n, ctx):
+        widths.append((ctx, n))
+        return factor(n, ctx)
+
+    direct = []
+
+    def counting_qpochhammer(*args):
+        direct.append(args)
+        return qpochhammer(*args)
+
+    monkeypatch.setattr(exact._PochArray, "_extend", counting_extend)
+    monkeypatch.setattr(macdonald, "_separated_factor", counting_factor)
+    for module in (exact, macdonald, qpoly, sov, suites):
+        if getattr(module, "qpochhammer", None) is qpochhammer:
+            monkeypatch.setattr(module, "qpochhammer", counting_qpochhammer)
+    try:
+        report = suites.run_suite("transitions", s_values=["1/2"], g_values=[2], xi_values=["3/2"], lmax=3)
+    finally:
+        exact.clear_tables()
+    assert report["status"] == "pass"
+    assert len(built) == len(set(built)) and len(widths) == len(set(widths))
+    # not vacuous: the four bases of the context and every width up to 6 were built
+    ctx = QContext(s=frac(1, 2), g=2, xi=frac(3, 2))
+    assert {a for a, _ in built} == {ctx.q, ctx.t, ctx.t * ctx.q, ctx.t ** 2}
+    assert sorted(n for _, n in widths) == list(range(7))
+    assert direct == []

@@ -253,17 +253,58 @@ class _PochArray:
             down.append(down[k - 1] / factor)
 
 
+class _IntPochArray:
+    """(s^e; q)_n of one base s^e (e > 0) for every n >= 0, as an int pair.
+
+    arr[n] is (N, D), the product of the pairs one_minus(e + 2k) for k < n,
+    unreduced, so N / D equals qpochhammer(s^e, q, n); one factor per new
+    entry, as in _PochArray.  Only closed transition entries read these, and
+    every index they read is nonnegative.
+    """
+
+    __slots__ = ("e", "_one_minus", "_up")
+
+    def __init__(self, e: int, one_minus):
+        self.e = e
+        self._one_minus = one_minus
+        self._up = [(1, 1)]  # _up[n] = (s^e; q)_n
+
+    def __getitem__(self, n: int) -> tuple:
+        if n < 0:
+            raise ValueError(f"integer Pochhammer arrays hold n >= 0 only, got {n}")
+        if n >= len(self._up):
+            self._extend(n)
+        return self._up[n]
+
+    def _extend(self, n: int) -> None:
+        """Grow the array up to index n."""
+        up, e = self._up, self.e
+        for k in range(len(up) - 1, n):
+            fn, fd = self._one_minus(e + 2 * k)
+            pn, pd = up[k]
+            up.append((pn * fn, pd * fd))
+
+
 class ContextTables:
     """What the exact layer memoizes for one context, indexed by int where it can be.
 
     spow(m) is s^m for any int m, and qpow(k), tpow(k) are q^k and t^k from
-    it.  poch_q, poch_t, poch_tq and poch_tt are the (a; q)_n arrays of
-    a = q, t, t q and t^2, and pochhammer(a) is the array of any base a (equal
-    bases share one array).  The dicts are filled by the modules named:
-    factors (sov: per-width basis factors by tag), multipliers (sov:
-    (exponent, width) -> eigen-multiplier), rows (sov: (base, lam, route) ->
-    transition row), macdonald (macdonald: lam -> P_lam) and separated
-    (macdonald: width -> phi_width).  Entries are never mutated once stored.
+    it.  poch_q, poch_t and poch_tt are the (a; q)_n arrays of a = q, t and
+    t^2, and pochhammer(a) is the array of any base a (equal bases share one
+    array).
+
+    The integer primitives serve the transition rows, and nothing else grows
+    them.  With s = a/b in lowest terms, ipow(e) is s^e as the int pair
+    (a^e, b^e) (swapped for e < 0), one_minus(e) is 1 - s^e as an int pair
+    and xipow(k) is xi^k as one; ipoch_q, ipoch_t and ipoch_tq are the
+    _IntPochArray arrays of q, t and t q.  Every int pair has a positive
+    denominator and is not reduced.
+
+    The dicts are filled by the modules named: factors (sov: per-width basis
+    factors by tag), multipliers (sov: (exponent, width) -> eigen-multiplier),
+    rows (sov: (kind, lam, route) -> transition row), macdonald (macdonald:
+    lam -> P_lam) and separated (macdonald: width -> phi_width).  Entries are
+    never mutated once stored.
     """
 
     def __init__(self, ctx: QContext):
@@ -273,8 +314,14 @@ class ContextTables:
         self._arrays = {}
         self.poch_q = self.pochhammer(ctx.q)
         self.poch_t = self.pochhammer(ctx.t)
-        self.poch_tq = self.pochhammer(ctx.t * ctx.q)
         self.poch_tt = self.pochhammer(ctx.t ** 2)
+        self._ab = _ints(ctx.s)
+        self._ipowers = [(1, 1)]  # _ipowers[m] = (a^m, b^m)
+        self._xi = _ints(ctx.xi)
+        g = ctx.g
+        self.ipoch_q = _IntPochArray(2, self.one_minus)
+        self.ipoch_t = _IntPochArray(2 * g, self.one_minus)
+        self.ipoch_tq = _IntPochArray(2 * g + 2, self.one_minus)
         self.factors = {}
         self.multipliers = {}
         self.rows = {}
@@ -306,6 +353,34 @@ class ContextTables:
         if arr is None:
             arr = self._arrays[a] = _PochArray(a, self.qpow)
         return arr
+
+    def ipow(self, e: int) -> tuple:
+        """s^e as an int pair for any int e."""
+        m = -e if e < 0 else e
+        if m >= len(self._ipowers):
+            self._extend_ipow(m)
+        x, y = self._ipowers[m]
+        return (x, y) if e >= 0 else (y, x)
+
+    def _extend_ipow(self, m: int) -> None:
+        """Grow the (a^m, b^m) list up to index m."""
+        powers, (a, b) = self._ipowers, self._ab
+        while len(powers) <= m:
+            x, y = powers[-1]
+            powers.append((x * a, y * b))
+
+    def one_minus(self, e: int) -> tuple:
+        """1 - s^e as an int pair for any int e; (0, 1) at e = 0."""
+        x, y = self.ipow(e)
+        return y - x, y
+
+    def xipow(self, k: int) -> tuple:
+        """xi^k as an int pair for any int k."""
+        n, d = self._xi
+        if k < 0:
+            n, d, k = d, n, -k
+        n, d = n ** k, d ** k
+        return (n, d) if d > 0 else (-n, -d)
 
 
 _TABLES: dict = {}
@@ -515,10 +590,47 @@ class _Laurent:
         _add_multiple(out, p._n, cn * (den // td))
         self._n, self._d = _reduced(out, den)
 
+    def combine(self, element):
+        """sum(self[k] * element(k) for every exponent k of self), reduced once.
+
+        The linear map that sends the monomial of exponent k to the
+        polynomial element(k); the elements share one class.  self's int
+        numerators are the weights, so no scalar is built.  The image of the
+        zero polynomial is the zero Laurent2.
+        """
+        if not self._n:
+            return Laurent2()
+        d = self._d
+        return _combination([(v, d, element(k)) for k, v in self._n.items()])
+
+    def map_terms(self, fn):
+        """Move and rescale every term: c at exponent k becomes c * f at k2, (k2, f) = fn(k).
+
+        f is a nonzero exact scalar and fn sends distinct exponents to
+        distinct ones; the result keeps the term order and is reduced once.
+        """
+        moved = [(k2, v, *_ints(f)) for k, v in self._n.items() for k2, f in (fn(k),)]
+        den = lcm(*(fden for _, _, _, fden in moved))
+        nums = {k2: v * fnum * (den // fden) for k2, v, fnum, fden in moved}
+        return self._make(nums, self._d * den)
+
     def __repr__(self):
         if not self._n:
             return "0"
         return " + ".join(f"{rational_str(v)}*{self._mono(k)}" for k, v in sorted(self.c.items()))
+
+
+def _combination(terms):
+    """sum(n / d * p for n, d, p in terms) over one common denominator, reduced once.
+
+    terms is a nonempty list of (int n, int d > 0, polynomial) whose
+    polynomials share one class.
+    """
+    den = lcm(*(d * p._d for _, d, p in terms))
+    out = {}
+    for n, d, p in terms:
+        _add_multiple(out, p._n, n * (den // (d * p._d)))
+    return type(terms[0][2])._make(out, den)
 
 
 def linear_combination(terms):
@@ -527,14 +639,10 @@ def linear_combination(terms):
     terms yields (scalar, polynomial) pairs whose polynomials share one class;
     an empty sum is the zero Laurent2.
     """
-    terms = [(_ints(as_rational(c)), p) for c, p in terms if c != 0]
+    terms = [(*_ints(as_rational(c)), p) for c, p in terms if c != 0]
     if not terms:
         return Laurent2()
-    den = lcm(*(cd * p._d for (_, cd), p in terms))
-    out = {}
-    for (cn, cd), p in terms:
-        _add_multiple(out, p._n, cn * (den // (cd * p._d)))
-    return type(terms[0][1])._make(out, den)
+    return _combination(terms)
 
 
 class Laurent1(_Laurent):

@@ -22,6 +22,7 @@ from .exact import (
     QContext,
     ZERO,
     divide_exact,
+    frac,
     linear_combination,
     pairs_under,
     qshift,
@@ -49,11 +50,23 @@ class SeparatingImage:
     f: macdonald.SeparatedPoly
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionRow:
+    """One row of a transition matrix.
+
+    vector is the row as a Laurent2 whose exponent (nu.l1, nu.l2) carries the
+    nu entry: the row the context's tables store, shared, so never mutate it.
+    entries builds a fresh {Pair: scalar} dict on every read (in pairs_under
+    order for the closed route), which callers may change freely.
+    """
+
     lam: Pair
     kind: str
-    entries: dict
+    vector: Laurent2
+
+    @property
+    def entries(self) -> dict:
+        return {Pair(*k): v for k, v in self.vector.c.items()}
 
 
 def _linear(c, e1: int, e2: int) -> Laurent2:
@@ -355,38 +368,50 @@ def check_quantum_char_eq(nu: Pair, j: int, ctx: QContext) -> bool:
 # Transition matrices: closed forms and recurrences
 # ---------------------------------------------------------------------------
 
+def _times(n, d, up, down) -> tuple:
+    """(n / d) * prod(up) / prod(down) for int pairs up and down, as one unreduced int pair."""
+    for x, y in up:
+        n, d = n * x, d * y
+    for x, y in down:
+        n, d = n * y, d * x
+    return n, d
+
+
 def _closed_entry(base: str, lam: Pair, nu: Pair, ctx: QContext):
     """Product formula for the (lam, nu) entry of the rho, pi, R or Q matrix.
 
     rho and pi share one Pochhammer magnitude, R and Q another; each kind
-    adds its own power of t*xi or xi and its own power of q^(1/2).
+    adds its own power of t*xi or xi and its own power of q^(1/2).  With
+    t = s^(2g), (t xi)^k is s^(2gk) xi^k, so the entry is a signed product of
+    the context's integer tables, reduced once into one scalar.
     """
     tab = tables(ctx)
-    pq, t, xi = tab.poch_q, ctx.t, ctx.xi
+    pq = tab.ipoch_q
     m = nu.width
     if base in ("rho", "pi"):
-        pt = tab.poch_t
-        num = pt[nu.l2 - lam.l1] * pt[lam.l2 - nu.l1] * pq[lam.width]
-        den = pq[lam.l2 - nu.l2] * pq[nu.l1 - lam.l1] * pt[m] * pt[lam.width] * pq[m]
+        pt = tab.ipoch_t
+        num = (pt[nu.l2 - lam.l1], pt[lam.l2 - nu.l1], pq[lam.width])
+        den = (pq[lam.l2 - nu.l2], pq[nu.l1 - lam.l1], pt[m], pt[lam.width], pq[m])
     else:
-        ptq = tab.poch_tq
-        num = ptq[lam.width] * ptq[m] * pq[lam.width]
-        den = pq[lam.l2 - nu.l2] * pq[nu.l1 - lam.l1] * ptq[nu.l2 - lam.l1] * ptq[lam.l2 - nu.l1] * pq[m]
+        ptq = tab.ipoch_tq
+        num = (ptq[lam.width], ptq[m], pq[lam.width])
+        den = (pq[lam.l2 - nu.l2], pq[nu.l1 - lam.l1], ptq[nu.l2 - lam.l1], ptq[lam.l2 - nu.l1], pq[m])
     squares = nu.l1 ** 2 + nu.l2 ** 2
+    g2 = 2 * ctx.g
     if base == "rho":
-        power = (t * xi) ** (lam.total - 2 * nu.l2)
-        expo = m * (2 * lam.l1 + 1 - nu.total)
+        k = lam.total - 2 * nu.l2  # (t xi)^k
+        expo = m * (2 * lam.l1 + 1 - nu.total) + g2 * k
     elif base == "pi":
-        power = xi ** (lam.total - 2 * nu.l1)
+        k = lam.total - 2 * nu.l1  # xi^k
         expo = m * (nu.total - 2 * lam.l2 + 1)
     elif base == "R":
-        power = (t * xi) ** (2 * lam.l2 - nu.total)
-        expo = 2 * lam.l2 ** 2 - 2 * (nu.total + 1) * lam.l2 + nu.total + squares
+        k = 2 * lam.l2 - nu.total  # (t xi)^k
+        expo = 2 * lam.l2 ** 2 - 2 * (nu.total + 1) * lam.l2 + nu.total + squares + g2 * k
     else:
-        power = xi ** (2 * lam.l1 - nu.total)
+        k = 2 * lam.l1 - nu.total  # xi^k
         expo = 2 * lam.l1 ** 2 - 2 * (nu.total - 1) * lam.l1 - nu.total + squares
-    value = power * tab.spow(expo) * num / den
-    return -value if m % 2 else value
+    n, d = _times(*tab.ipow(expo), (tab.xipow(k),) + num, den)
+    return frac(-n if m % 2 else n, d)
 
 
 def rho_diagonal(lam: Pair, ctx: QContext):
@@ -399,107 +424,136 @@ def R_diagonal(lam: Pair, ctx: QContext):
     return (-ONE) ** m * ctx.qh(m * (m - 1)) * (ctx.t * ctx.xi) ** m
 
 
-def _rho_row_recurrence(lam: Pair, ctx: QContext) -> dict:
-    """Row of rho coefficients grown from the diagonal seed by the two ladder moves."""
+def _ladder_primitives(ctx: QContext) -> tuple:
+    """(one_minus, ipow, 2g, t^2 xi^2): what both ladders read, the last as an int pair."""
     tab = tables(ctx)
-    qpow, t = tab.qpow, ctx.t
-    t2_xi2 = tab.tpow(2) * ctx.xi ** 2
+    (tn, td), (xn, xd) = tab.ipow(4 * ctx.g), tab.xipow(2)
+    return tab.one_minus, tab.ipow, 2 * ctx.g, (tn * xn, td * xd)
+
+
+def _rho_row_recurrence(lam: Pair, ctx: QContext) -> dict:
+    """Row of rho coefficients grown from the diagonal seed by the two ladder moves.
+
+    A move divides the entry it starts from by a ladder coefficient, a ratio
+    of 1 - s^e and s^e int pairs; the quotient is one scalar per entry.
+    """
+    one_minus, ipow, g2, t2_xi2 = _ladder_primitives(ctx)
 
     def step_down_nu2(nu: Pair):
-        # coefficient in rho^(nu1, nu2+1) = C_b(nu) * rho^nu, used inverted
+        # coefficient in rho^(nu1, nu2+1) = C_b(nu) * rho^nu, as (numerator, denominator) factors
         m = nu.width
-        return -(
-            (ONE - qpow(lam.l2 - nu.l2)) * (ONE - t * qpow(nu.l2 - lam.l1))
-        ) / (
-            qpow(nu.l2 - lam.l1)
-            * t2_xi2
-            * (ONE - qpow(m + 1))
-            * (ONE - t * qpow(m))
+        return (
+            ((-1, 1), one_minus(2 * (lam.l2 - nu.l2)), one_minus(g2 + 2 * (nu.l2 - lam.l1))),
+            (ipow(2 * (nu.l2 - lam.l1)), t2_xi2, one_minus(2 * m + 2), one_minus(g2 + 2 * m)),
         )
 
     def step_up_nu1(nu: Pair):
-        # coefficient in rho^(nu1-1, nu2) = C_a(nu) * rho^nu, used inverted
+        # coefficient in rho^(nu1-1, nu2) = C_a(nu) * rho^nu, as (numerator, denominator) factors
         m = nu.width
-        return -(
-            (ONE - qpow(nu.l1 - lam.l1)) * (ONE - t * qpow(lam.l2 - nu.l1))
-        ) / (
-            qpow(nu.l1 - lam.l1 - 1) * (ONE - qpow(m + 1)) * (ONE - t * qpow(m))
+        return (
+            ((-1, 1), one_minus(2 * (nu.l1 - lam.l1)), one_minus(g2 + 2 * (lam.l2 - nu.l1))),
+            (ipow(2 * (nu.l1 - lam.l1 - 1)), one_minus(2 * m + 2), one_minus(g2 + 2 * m)),
         )
+
+    def divided(value, step):
+        top, bottom = step
+        return frac(*_times(value.numerator, value.denominator, bottom, top))
 
     row = {lam: rho_diagonal(lam, ctx)}
     for m2 in range(lam.l2, lam.l1, -1):
         nu = Pair(lam.l1, m2 - 1)
-        row[nu] = row[Pair(lam.l1, m2)] / step_down_nu2(nu)
+        row[nu] = divided(row[Pair(lam.l1, m2)], step_down_nu2(nu))
     for m2 in range(lam.l1, lam.l2 + 1):
         for m1 in range(lam.l1, m2):
             nu = Pair(m1 + 1, m2)
-            row[nu] = row[Pair(m1, m2)] / step_up_nu1(nu)
+            row[nu] = divided(row[Pair(m1, m2)], step_up_nu1(nu))
     return row
 
 
 def _R_row_recurrence(lam: Pair, ctx: QContext) -> dict:
-    """Row of R coefficients: for each nu, ladder the row label from nu up to lam."""
-    tab = tables(ctx)
-    qpow, t = tab.qpow, ctx.t
-    t2_xi2 = tab.tpow(2) * ctx.xi ** 2
+    """Row of R coefficients: for each nu, ladder the row label from nu up to lam.
+
+    The ladder's product stays one unreduced int pair until its entry is made.
+    """
+    one_minus, ipow, g2, t2_xi2 = _ladder_primitives(ctx)
 
     def grow_l2(mu: Pair, nu: Pair):
-        # coefficient in R_(mu1, mu2-1) = D_b(mu) * R_mu, used inverted
+        # coefficient in R_(mu1, mu2-1) = D_b(mu) * R_mu, as (numerator, denominator) factors
         w = mu.width
         return (
-            (ONE - qpow(mu.l2 - nu.l2)) * (ONE - t * qpow(mu.l2 - nu.l1))
-        ) / (
-            qpow(2 * mu.l2 - nu.total - 2)
-            * t2_xi2
-            * (ONE - qpow(w))
-            * (ONE - t * qpow(w))
+            (one_minus(2 * (mu.l2 - nu.l2)), one_minus(g2 + 2 * (mu.l2 - nu.l1))),
+            (ipow(2 * (2 * mu.l2 - nu.total - 2)), t2_xi2, one_minus(2 * w), one_minus(g2 + 2 * w)),
         )
 
     def grow_l1(mu: Pair, nu: Pair):
-        # coefficient in R_(mu1+1, mu2) = D_a(mu) * R_mu, used inverted
+        # coefficient in R_(mu1+1, mu2) = D_a(mu) * R_mu, as (numerator, denominator) factors
         w = mu.width
         return (
-            (ONE - qpow(nu.l1 - mu.l1)) * (ONE - t * qpow(nu.l2 - mu.l1))
-        ) / ((ONE - qpow(w)) * (ONE - t * qpow(w)))
+            (one_minus(2 * (nu.l1 - mu.l1)), one_minus(g2 + 2 * (nu.l2 - mu.l1))),
+            (one_minus(2 * w), one_minus(g2 + 2 * w)),
+        )
 
+    seeds = {}  # width -> R_diagonal as a pair
     row = {}
     for nu in pairs_under(lam):
-        val = R_diagonal(nu, ctx)
+        if nu.width not in seeds:
+            diag = R_diagonal(nu, ctx)
+            seeds[nu.width] = (diag.numerator, diag.denominator)
+        n, d = seeds[nu.width]
         for m2 in range(nu.l2 + 1, lam.l2 + 1):
-            val = val / grow_l2(Pair(nu.l1, m2), nu)
+            top, bottom = grow_l2(Pair(nu.l1, m2), nu)
+            n, d = _times(n, d, bottom, top)
         for m1 in range(nu.l1 - 1, lam.l1 - 1, -1):
-            val = val / grow_l1(Pair(m1, lam.l2), nu)
-        row[nu] = val
+            top, bottom = grow_l1(Pair(m1, lam.l2), nu)
+            n, d = _times(n, d, bottom, top)
+        row[nu] = frac(n, d)
     return row
 
 
-def _base_row(base: str, lam: Pair, ctx: QContext, method: str) -> dict:
-    """Nonzero entries of the rho, pi, Q or R row of lam, built by one route.
+def _vector(entries: dict) -> Laurent2:
+    """A {Pair: scalar} row as a Laurent2 keyed by (nu.l1, nu.l2), zero entries dropped."""
+    return Laurent2({(nu.l1, nu.l2): v for nu, v in entries.items()})
 
-    Stored per (base, lam, method) in the context's tables, so the closed
-    and recurrence routes never read each other's rows.  pi and Q rows by
-    recurrence come from the rho and R rows of the reflected label through
-    the involution.  The dict is never mutated; transition_row hands out
-    copies.
+
+def _base_row(kind: str, lam: Pair, ctx: QContext, method: str) -> Laurent2:
+    """The kind row of lam built by one route, as a Laurent2 keyed by (nu.l1, nu.l2).
+
+    Stored per (kind, lam, method) in the context's tables, tilded kinds
+    included, so the closed and recurrence routes never read each other's
+    rows.  pi and Q rows by recurrence come from the rho and R rows of the
+    reflected label through the involution; a tilded row scales the
+    untilded row of its route by mu_p(nu), mu_r(nu), 1/mu_p(lam) or
+    1/mu_r(lam), whose multipliers _multiplier stores.  Stored rows are
+    shared and never mutated.
     """
     rows = tables(ctx).rows
-    key = (base, lam, method)
-    if key in rows:
-        return rows[key]
-    if method == "closed":
-        entries = {nu: _closed_entry(base, lam, nu, ctx) for nu in pairs_under(lam)}
+    key = (kind, lam, method)
+    row = rows.get(key)
+    if row is not None:
+        return row
+    base = kind[:-1] if kind.endswith("t") else kind
+    if base != kind:
+        row = _base_row(base, lam, ctx, method)
+        if base in ("pi", "rho"):
+            e = 0 if base == "pi" else 1  # mu_p reads nu1, mu_r reads nu2
+            row = row.map_terms(lambda k: (k, _multiplier(k[e], k[1] - k[0], ctx)))
+        else:
+            row = row * (ONE / (mu_p(lam, ctx) if base == "Q" else mu_r(lam, ctx)))
+    elif method == "closed":
+        row = _vector({nu: _closed_entry(base, lam, nu, ctx) for nu in pairs_under(lam)})
     elif base == "rho":
-        entries = _rho_row_recurrence(lam, ctx)
+        row = _vector(_rho_row_recurrence(lam, ctx))
     elif base == "R":
-        entries = _R_row_recurrence(lam, ctx)
+        row = _vector(_R_row_recurrence(lam, ctx))
     else:
+        # the involution: the entry at nu of the reflected row moves to nu.bar() = (-nu2, -nu1)
         bar = _base_row("rho" if base == "pi" else "R", lam.bar(), ctx, method)
         scale = ctx.t * ctx.xi ** 2
         if base == "pi":
-            entries = {nu.bar(): v * scale ** (lam.total + 2 * nu.l2) for nu, v in bar.items()}
+            row = bar.map_terms(lambda k: ((-k[1], -k[0]), scale ** (lam.total + 2 * k[1])))
         else:
-            entries = {nu.bar(): v * scale ** (2 * lam.l1 + nu.total) for nu, v in bar.items()}
-    row = rows[key] = {nu: v for nu, v in entries.items() if v != 0}
+            row = bar.map_terms(lambda k: ((-k[1], -k[0]), scale ** (2 * lam.l1 + k[0] + k[1])))
+    rows[key] = row
     return row
 
 
@@ -509,27 +563,15 @@ def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") 
     kind is one of pi, rho, Q, R or the tilded variants pit, rhot, Qt, Rt;
     method 'closed' uses the product formulas, 'recurrence' builds the row
     from the diagonal initial condition (pi/Q rows are obtained from rho/R
-    rows of the reflected label through the involution).  The untilded row
-    is built once per (kind, lam, ctx, method) and stored by _base_row; a
-    tilded row scales it by mu_p(nu), mu_r(nu), 1/mu_p(lam) or 1/mu_r(lam),
-    whose multipliers _multiplier stores.  entries is a fresh dict on every
-    call, so callers may change it without touching the caches.
+    rows of the reflected label through the involution).  The row is built
+    once per (kind, lam, ctx, method) and stored by _base_row.
     """
     base = kind[:-1] if kind.endswith("t") else kind
     if base not in ("pi", "rho", "Q", "R"):
         raise ValueError(f"unknown transition kind {kind!r}")
     if method not in ("closed", "recurrence"):
         raise ValueError("method must be 'closed' or 'recurrence'")
-    row = _base_row(base, lam, ctx, method)
-    if base == kind:
-        return TransitionRow(lam=lam, kind=kind, entries=dict(row))
-    if base in ("pi", "rho"):
-        mu = mu_p if base == "pi" else mu_r
-        entries = {nu: v * mu(nu, ctx) for nu, v in row.items()}
-    else:
-        scale = ONE / (mu_p(lam, ctx) if base == "Q" else mu_r(lam, ctx))
-        entries = {nu: v * scale for nu, v in row.items()}
-    return TransitionRow(lam=lam, kind=kind, entries={nu: v for nu, v in entries.items() if v != 0})
+    return TransitionRow(lam=lam, kind=kind, vector=_base_row(kind, lam, ctx, method))
 
 
 # ---------------------------------------------------------------------------

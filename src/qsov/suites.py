@@ -20,7 +20,6 @@ from .exact import (
     Pair,
     QContext,
     frac,
-    linear_combination,
     pairs_under,
     random_symmetric,
     tables,
@@ -227,13 +226,13 @@ def case_transitions(ctx: QContext, lam: Pair):
     for kind in ("rho", "pi", "Q", "R", "rhot", "pit", "Qt", "Rt"):
         closed = sov.transition_row(kind, lam, ctx, "closed")
         rec = sov.transition_row(kind, lam, ctx, "recurrence")
-        if closed.entries != rec.entries:
+        if closed.vector != rec.vector:
             raise AssertionError(f"row construction mismatch: kind={kind}, lam={lam}")
-    rho = sov.transition_row("rho", lam, ctx).entries
-    if rho[lam] != sov.rho_diagonal(lam, ctx):
+    rho = sov.transition_row("rho", lam, ctx).vector
+    if rho.coeff(lam.l1, lam.l2) != sov.rho_diagonal(lam, ctx):
         raise AssertionError(f"diagonal initial condition (rho) wrong for {lam}")
-    Rrow = sov.transition_row("R", lam, ctx).entries
-    if Rrow[lam] != sov.R_diagonal(lam, ctx):
+    Rrow = sov.transition_row("R", lam, ctx).vector
+    if Rrow.coeff(lam.l1, lam.l2) != sov.R_diagonal(lam, ctx):
         raise AssertionError(f"diagonal initial condition (R) wrong for {lam}")
 
 
@@ -241,8 +240,7 @@ def case_reassembly(ctx: QContext, lam: Pair):
     P = macdonald.macdonald_poly(lam, ctx).poly
 
     def combine(kind, element):
-        row = sov.transition_row(kind, lam, ctx).entries
-        return linear_combination((c, element(nu)) for nu, c in row.items())
+        return sov.transition_row(kind, lam, ctx).vector.combine(lambda k: element(Pair(*k)))
 
     for kind, tag in (("rho", "r"), ("pi", "p")):
         if combine(kind, lambda nu: sov.basis(tag, nu, ctx)) != P:
@@ -267,25 +265,16 @@ def case_reassembly(ctx: QContext, lam: Pair):
 
 
 def case_mutual_inverse(ctx: QContext, lam: Pair):
-    under = pairs_under(lam)
-    rows = {
-        kind: {l: sov.transition_row(kind, l, ctx).entries for l in under}
-        for kind in ("rho", "pi", "Q", "R")
-    }
-    zero = frac(0)
+    unit = Laurent2.term(lam.l1, lam.l2)
     for first, second in (("R", "rho"), ("rho", "R"), ("Q", "pi"), ("pi", "Q")):
-        # sum over nu of first[lam][nu] * second[nu][mu], over stored (nonzero) entries only:
-        # a row holds only labels inside its own, so nu runs inside lam and mu inside nu
-        totals = {}
-        for nu, a in rows[first][lam].items():
-            for mu, b in rows[second][nu].items():
-                totals[mu] = totals.get(mu, zero) + a * b
-        for mu in under:
-            expected = frac(1) if mu == lam else zero
-            if totals.get(mu, zero) != expected:
-                raise AssertionError(
-                    f"inverse identity {first}*{second} fails at mu={mu}, lam={lam}"
-                )
+        # sum over nu of first[lam][nu] * (row nu of second), one sum reduced once: a row
+        # holds only labels inside its own, so nu runs inside lam and the sum's mu inside nu
+        total = sov.transition_row(first, lam, ctx).vector.combine(
+            lambda k: sov.transition_row(second, Pair(*k), ctx).vector
+        )
+        if total != unit:
+            mu = next(mu for mu in pairs_under(lam) if total.coeff(mu.l1, mu.l2) != unit.coeff(mu.l1, mu.l2))
+            raise AssertionError(f"inverse identity {first}*{second} fails at mu={mu}, lam={lam}")
 
 
 # ---------------------------------------------------------------------------

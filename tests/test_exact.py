@@ -206,7 +206,7 @@ def _add2(k1, k2):
 
 
 def _check_ring(cls, da, db, s, n, add, one_key):
-    """+, -, *, scalar *, **, iadd_scaled and linear_combination against dict references."""
+    """+, -, *, scalar *, **, iadd_scaled, linear_combination, map_terms and combine against dict references."""
     a, b = cls(da), cls(db)
     ra, rb = _nonzero_terms(da), _nonzero_terms(db)
     power = {one_key: frac(1)}
@@ -229,6 +229,11 @@ def _check_ring(cls, da, db, s, n, add, one_key):
         (linear_combination([(s, a), (frac(-3, 2), b), (0, a)]),
          _ref_add(_ref_scale(ra, s), _ref_scale(rb, frac(-3, 2)))),
     ]
+    factor = frac(-5, 3)
+    checks.append((a.map_terms(lambda k: (add(k, k), factor)), {add(k, k): v * factor for k, v in ra.items()}))
+    if ra:  # the combination of no terms is the zero Laurent2 whatever cls is
+        # sending the monomial of exponent k to b times that monomial gives a * b
+        checks.append((a.combine(lambda k: cls({add(k, kb): v for kb, v in db.items()})), _ref_mul(ra, rb, add)))
     for p, ref in checks:
         _assert_canonical(p)
         assert type(p) is cls and dict(p.c) == ref and p == cls(ref)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsov import exact, macdonald, sov
@@ -241,14 +241,51 @@ def _poch_or_pole(fn, *args):
         return PoleError
 
 
+#: Contexts where a sign or inversion slip hides: xi = -1, t xi^2 = 1 (xi = s^-g),
+#: xi = 1/t, xi = q, and s close to 1.
+SPOT_CONTEXTS = [
+    QContext(s=frac(1, 2), g=2, xi=frac(-1)),
+    QContext(s=frac(2, 3), g=2, xi=frac(9, 4)),
+    QContext(s=frac(1, 3), g=1, xi=frac(9)),
+    QContext(s=frac(3, 5), g=3, xi=frac(9, 25)),
+    QContext(s=frac(99, 100), g=2, xi=frac(-7, 3)),
+]
+
+
+def _spot_examples(**extra):
+    """Decorate a hypothesis test with one explicit example per spot context."""
+    def decorate(test):
+        for ctx in reversed(SPOT_CONTEXTS):
+            test = example(ctx=ctx, **extra)(test)
+        return test
+    return decorate
+
+
+def test_spot_contexts_are_the_named_ones():
+    xi_m1, t_xi2, inv_t, xi_q, near_1 = SPOT_CONTEXTS
+    assert xi_m1.xi == -1
+    assert t_xi2.t * t_xi2.xi ** 2 == 1
+    assert inv_t.xi == 1 / inv_t.t
+    assert xi_q.xi == xi_q.q
+    assert near_1.s == frac(99, 100)
+
+
+def _int_pair_value(pair):
+    """The rational of an int pair, after checking both are ints and the denominator is positive."""
+    n, d = pair
+    assert type(n) is int and type(d) is int and d > 0
+    return frac(n, d)
+
+
 @settings(max_examples=100, deadline=None)
 @given(ctx=off_grid_contexts())
+@_spot_examples()
 def test_context_tables_match_direct_formulas(ctx):
     tab = tables(ctx)
     bases = {
         "q": (tab.poch_q, ctx.q),
         "t": (tab.poch_t, ctx.t),
-        "tq": (tab.poch_tq, ctx.t * ctx.q),
+        "tq": (tab.pochhammer(ctx.t * ctx.q), ctx.t * ctx.q),
         "tt": (tab.poch_tt, ctx.t ** 2),
     }
     # both directions of growth, in an order that skips ahead and comes back
@@ -258,10 +295,19 @@ def test_context_tables_match_direct_formulas(ctx):
         for n in indices:
             expected = _poch_or_pole(qpochhammer, a, ctx.q, n)
             assert _poch_or_pole(arr.__getitem__, n) == expected, (name, n)
+    int_bases = {"q": (tab.ipoch_q, ctx.q), "t": (tab.ipoch_t, ctx.t), "tq": (tab.ipoch_tq, ctx.t * ctx.q)}
+    for name, (arr, a) in int_bases.items():
+        for n in (n for n in indices if n >= 0):
+            assert _int_pair_value(arr[n]) == qpochhammer(a, ctx.q, n), (name, n)
+        with pytest.raises(ValueError):
+            arr[-1]
     for m in indices:
         assert tab.spow(m) == ctx.s ** m, m
         assert tab.qpow(m) == ctx.q ** m and tab.tpow(m) == ctx.t ** m, m
         assert ctx.qh(m) == ctx.s ** m and ctx.th(m) == ctx.s ** (ctx.g * m), m
+        assert _int_pair_value(tab.ipow(m)) == ctx.s ** m, m
+        assert _int_pair_value(tab.one_minus(m)) == 1 - ctx.s ** m, m
+        assert _int_pair_value(tab.xipow(m)) == ctx.xi ** m, m
     assert tables(QContext(s=ctx.s, g=ctx.g, xi=ctx.xi)) is tab
 
 
@@ -272,6 +318,7 @@ labels = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(ctx=off_grid_contexts(), nu=labels)
+@_spot_examples(nu=Pair(-1, 2))
 def test_basis_table_properties(ctx, nu):
     for tag in sov.BASIS_TAGS:
         b = sov.basis(tag, nu, ctx)

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from qsov import exact, macdonald, qpoly, sov, suites
@@ -155,10 +157,46 @@ def _reference_multiplier(e, m, ctx):
     return t ** (-e) * ctx.xi ** (2 * e) * qpochhammer(t, q, m) / qpochhammer(t ** 2, q, m)
 
 
+def _reference_closed_entry(base, lam, nu, ctx):
+    """The closed product formula of a rho, pi, Q or R entry, on qpochhammer and plain powers."""
+    q, t, xi = ctx.q, ctx.t, ctx.xi
+    m = nu.width
+
+    def pq(n):
+        return qpochhammer(q, q, n)
+
+    if base in ("rho", "pi"):
+        def pt(n):
+            return qpochhammer(t, q, n)
+
+        num = pt(nu.l2 - lam.l1) * pt(lam.l2 - nu.l1) * pq(lam.width)
+        den = pq(lam.l2 - nu.l2) * pq(nu.l1 - lam.l1) * pt(m) * pt(lam.width) * pq(m)
+    else:
+        def ptq(n):
+            return qpochhammer(t * q, q, n)
+
+        num = ptq(lam.width) * ptq(m) * pq(lam.width)
+        den = pq(lam.l2 - nu.l2) * pq(nu.l1 - lam.l1) * ptq(nu.l2 - lam.l1) * ptq(lam.l2 - nu.l1) * pq(m)
+    squares = nu.l1 ** 2 + nu.l2 ** 2
+    if base == "rho":
+        power = (t * xi) ** (lam.total - 2 * nu.l2)
+        expo = m * (2 * lam.l1 + 1 - nu.total)
+    elif base == "pi":
+        power = xi ** (lam.total - 2 * nu.l1)
+        expo = m * (nu.total - 2 * lam.l2 + 1)
+    elif base == "R":
+        power = (t * xi) ** (2 * lam.l2 - nu.total)
+        expo = 2 * lam.l2 ** 2 - 2 * (nu.total + 1) * lam.l2 + nu.total + squares
+    else:
+        power = xi ** (2 * lam.l1 - nu.total)
+        expo = 2 * lam.l1 ** 2 - 2 * (nu.total - 1) * lam.l1 - nu.total + squares
+    return (-1) ** m * power * ctx.s ** expo * num / den
+
+
 def _reference_entry(kind, lam, nu, ctx):
     """Uncached formula: the closed entry of the base kind times the tilded multiplier."""
     base = kind[:-1] if kind.endswith("t") else kind
-    value = sov._closed_entry(base, lam, nu, ctx)
+    value = _reference_closed_entry(base, lam, nu, ctx)
     if kind == "pit":
         value *= _reference_multiplier(nu.l1, nu.width, ctx)
     elif kind == "rhot":
@@ -192,7 +230,7 @@ def test_cold_cache_tilded_first_two_contexts(cold_rows):
 
 
 def test_transitions_suite_builds_each_table_entry_once(monkeypatch):
-    """Cold tables: every (base, n) Pochhammer entry and every phi_width is built at most once."""
+    """Cold tables: every table entry and every phi_width is built at most once, and all are built."""
     exact.clear_tables()
     built = []  # (base, n) of every Pochhammer entry made
     extend = exact._PochArray._extend
@@ -205,6 +243,26 @@ def test_transitions_suite_builds_each_table_entry_once(monkeypatch):
         finally:
             sign = 1 if n >= 0 else -1
             built.extend((arr.a, sign * k) for k in range(before, len(side)))
+
+    int_built = []  # (e, n) of every integer Pochhammer entry (s^e; q)_n made
+    int_extend = exact._IntPochArray._extend
+
+    def counting_int_extend(arr, n):
+        before = len(arr._up)
+        try:
+            int_extend(arr, n)
+        finally:
+            int_built.extend((arr.e, k) for k in range(before, len(arr._up)))
+
+    powers = []  # m of every (a^m, b^m) power made
+    extend_ipow = exact.ContextTables._extend_ipow
+
+    def counting_extend_ipow(tab, m):
+        before = len(tab._ipowers)
+        try:
+            extend_ipow(tab, m)
+        finally:
+            powers.extend(range(before, len(tab._ipowers)))
 
     widths = []
     factor = macdonald._separated_factor
@@ -220,6 +278,8 @@ def test_transitions_suite_builds_each_table_entry_once(monkeypatch):
         return qpochhammer(*args)
 
     monkeypatch.setattr(exact._PochArray, "_extend", counting_extend)
+    monkeypatch.setattr(exact._IntPochArray, "_extend", counting_int_extend)
+    monkeypatch.setattr(exact.ContextTables, "_extend_ipow", counting_extend_ipow)
     monkeypatch.setattr(macdonald, "_separated_factor", counting_factor)
     for module in (exact, macdonald, qpoly, sov, suites):
         if getattr(module, "qpochhammer", None) is qpochhammer:
@@ -230,8 +290,60 @@ def test_transitions_suite_builds_each_table_entry_once(monkeypatch):
         exact.clear_tables()
     assert report["status"] == "pass"
     assert len(built) == len(set(built)) and len(widths) == len(set(widths))
-    # not vacuous: the four bases of the context and every width up to 6 were built
+    assert len(int_built) == len(set(int_built)) and len(powers) == len(set(powers))
+    # not vacuous: the bases of the context and every width up to 6 were built.  The
+    # closed entries read (t q; q)_n from the integer table, so the scalar array of t q
+    # is no longer built here; q and t are (multipliers, P_lam), and t^2 (multipliers)
     ctx = QContext(s=frac(1, 2), g=2, xi=frac(3, 2))
-    assert {a for a, _ in built} == {ctx.q, ctx.t, ctx.t * ctx.q, ctx.t ** 2}
+    assert {a for a, _ in built} == {ctx.q, ctx.t, ctx.t ** 2}
+    # q = s^2, t = s^4 and t q = s^6, each up to n = 6 (the widest label of lmax = 3),
+    # and every power s^m their factors 1 - s^m need, up to (t q; q)_6's last one, s^16
+    for e in (2, 4, 6):
+        assert sorted(n for base, n in int_built if base == e) == list(range(1, 7)), e
+    assert {base for base, _ in int_built} == {2, 4, 6}
+    assert set(range(1, 17)) <= set(powers)
     assert sorted(n for _, n in widths) == list(range(7))
     assert direct == []
+
+
+def _assert_canonical(row):
+    """Python-int numerators (never gmpy2.mpz) over one positive int denominator, gcd 1."""
+    assert type(row) is Laurent2
+    assert type(row._d) is int and row._d > 0
+    assert all(type(v) is int and v != 0 for v in row._n.values())
+    assert gcd(row._d, *row._n.values()) == 1
+
+
+def test_stored_rows_are_canonical(cold_rows):
+    ctx3 = QContext(s=frac(2, 3), g=2, xi=frac(-9, 4))  # negative xi: odd powers flip signs
+    for ctx in (CTX, CTX2, ctx3):
+        for lam in LABELS:
+            for kind in KINDS:
+                for method in ("closed", "recurrence"):
+                    row = sov.transition_row(kind, lam, ctx, method).vector
+                    assert exact.tables(ctx).rows[(kind, lam, method)] is row
+        rows = exact.tables(ctx).rows
+        assert len(rows) >= len(LABELS) * len(KINDS) * 2
+        for key, row in rows.items():
+            _assert_canonical(row)
+            assert all(Pair(*k) in pairs_under(key[1]) for k in row.c), key
+
+
+def test_row_sums_fail_on_one_corrupted_entry(cold_rows, monkeypatch):
+    lam, nu = Pair(-1, 2), Pair(0, 1)
+    suites.case_mutual_inverse(CTX, lam)
+    suites.case_reassembly(CTX, lam)
+    key = ("R", lam, "closed")
+    row = exact.tables(CTX).rows[key]
+    terms = dict(row.c)
+    terms[(nu.l1, nu.l2)] *= 2  # an off-diagonal entry of R at a label under lam
+    monkeypatch.setitem(exact.tables(CTX).rows, key, Laurent2(terms))
+    assert sov.transition_row("R", lam, CTX).entries[nu] == 2 * row.coeff(nu.l1, nu.l2)
+    # the sum gains R[lam][nu] * (row nu of rho), so it first fails at the first label,
+    # in pairs_under order, where that rho row has an entry
+    rho_nu = sov.transition_row("rho", nu, CTX).entries
+    first = next(mu for mu in pairs_under(lam) if mu in rho_nu)
+    with pytest.raises(AssertionError, match=rf"^inverse identity R\*rho fails at mu={first}, lam={lam}$"):
+        suites.case_mutual_inverse(CTX, lam)
+    with pytest.raises(AssertionError, match="reassembly of the r basis fails"):
+        suites.case_reassembly(CTX, lam)

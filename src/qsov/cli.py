@@ -94,9 +94,7 @@ def cmd_compute(args, inputs: dict) -> int:
     elif kind == "basis":
         _emit(_poly2_table(sov.basis(args.basis, inputs["nu"], ctx)), args)
     elif kind == "transition":
-        row = sov.transition_row(args.row_kind, lam, ctx)
-        _emit({str(nu): rational_str(v) for nu, v in sorted(row.entries.items(),
-              key=lambda kv: (kv[0].l1, kv[0].l2))}, args)
+        _emit(_poly2_table(sov.transition_row(args.row_kind, lam, ctx)), args)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
     return 0

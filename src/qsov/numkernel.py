@@ -31,8 +31,10 @@ class NumericConfig:
             raise ValueError("quad_points must be at least 256")
         if not (0 < self.prod_cutoff <= 1e-14):
             raise ValueError("prod_cutoff must lie in (0, 1e-14]")
-        if self.tol_tight <= 0 or self.tol_loose <= 0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.tol_tight, self.tol_loose):
+            # NaN and inf would pass every err > tol check
+            if not (0 < tol < math.inf):
+                raise ValueError("tolerances must be finite and positive")
 
 
 DEFAULT_CONFIG = NumericConfig()
@@ -425,33 +427,17 @@ def apply_M_xi_numeric(pol, g: int, q: float, xi: complex, y1: complex, y2: comp
     y_plus must be a square root of y1*y2 chosen by the caller; y_minus is
     derived from it.  The argument of the input polynomial follows the
     kernel's substitution rule, so the x1*x2 scaling comes out automatically.
-    The input is evaluated on the whole node array at once, and the kernel's
-    node-side factors are reflected q-products (lambda_q is symmetric in its
-    two points, so lambda_q(st, z, r) = lambda_q_nodes(st, r, z)).  The kernel
-    does not depend on the input, so pol may also be a list or tuple of
-    polynomials: the kernel is built once and a list of values comes back in
-    the same order.
+    The kernel is kern_mab with alpha = beta = g, output point y_minus and
+    reference point y_plus / t; the input is evaluated on the whole node
+    array at once.  The kernel does not depend on the input, so pol may also
+    be a list or tuple of polynomials: the kernel is built once and a list of
+    values comes back in the same order.
     """
     t = q ** g
     y_minus = y1 / y_plus
-    r = y_plus / t
-    st = math.sqrt(t)
-    _check_disk(st * y_minus, st / y_minus, st * r, st / r)
     z = unit_nodes(cfg.quad_points)
-    qq = qprod_inf(q, q, cfg)
-    kern = (
-        (1.0 - q)
-        * qq ** 2
-        * qprod_pair_nodes(1.0, z ** 2, q, cfg)
-        * lambda_q(t, y_minus, r, q, cfg)
-        / (
-            2.0
-            * b_q(g, g, q, cfg)
-            * lambda_q_nodes(st, y_minus, z, q, cfg)
-            * lambda_q_nodes(st, r, z, q, cfg)
-        )
-    )
-    scale = xi * y_plus / st
+    kern = kern_mab(y_plus / t, y_minus, z, g, g, q, cfg)
+    scale = xi * y_plus / math.sqrt(t)
     u, v = scale * z, scale / z
     if isinstance(pol, (list, tuple)):
         return [complex(np.mean(kern * p.evaluate(u, v))) for p in pol]
@@ -487,15 +473,12 @@ def _weight_circle(x, beta: float, q: float, cfg: NumericConfig):
     )
 
 
-def product_formula_check(n: int, theta: float, phi: float, q: float, beta: float,
-                          cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
-    """Both sides of the integral product formula, by circle quadrature.
+def _product_kernel(theta: float, phi: float, q: float, beta: float,
+                    cfg: NumericConfig) -> tuple:
+    """(params, head) of the closed product kernel at (theta, phi).
 
-    The closed kernel's expansion over the polynomial family is checked on
-    its own by kernel_series_check.
+    The kernel is head * aw_weight(., params).
     """
-    if not (0 < beta < 1):
-        raise ContourUnsupported("the product kernel needs 0 < beta < 1")
     sb = math.sqrt(beta)
     params = AWParams(
         a=sb * cmath.exp(1j * (theta + phi)),
@@ -512,6 +495,19 @@ def product_formula_check(n: int, theta: float, phi: float, q: float, beta: floa
         * qprod_inf(beta * cmath.exp(-2j * phi), q, cfg)
         / qprod_inf(beta ** 2, q, cfg)
     )
+    return params, head
+
+
+def product_formula_check(n: int, theta: float, phi: float, q: float, beta: float,
+                          cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
+    """Both sides of the integral product formula, by circle quadrature.
+
+    The closed kernel's expansion over the polynomial family is checked on
+    its own by kernel_series_check.
+    """
+    if not (0 < beta < 1):
+        raise ContourUnsupported("the product kernel needs 0 < beta < 1")
+    params, head = _product_kernel(theta, phi, q, beta, cfg)
     x = unit_nodes(cfg.quad_points)
     [weight] = aw_weights_on_nodes(x, [params], q, cfg)
     integral = 0.5 * head * np.mean(weight * cq_numeric(n, beta, q, x))
@@ -537,22 +533,7 @@ def kernel_series_check(theta: float, phi: float, psi: float, q: float, beta: fl
     Both sides are compared with the common 1/(2 pi sqrt(1-z^2)) factor
     stripped, which keeps the comparison finite at the interval endpoints.
     """
-    sb = math.sqrt(beta)
-    params = AWParams(
-        a=sb * cmath.exp(1j * (theta + phi)),
-        b=sb * cmath.exp(-1j * (theta + phi)),
-        c=sb * cmath.exp(1j * (theta - phi)),
-        d=sb * cmath.exp(1j * (phi - theta)),
-    )
-    head_closed = complex(
-        qprod_inf(q, q, cfg)
-        * qprod_inf(beta, q, cfg) ** 2
-        * qprod_inf(beta * cmath.exp(2j * theta), q, cfg)
-        * qprod_inf(beta * cmath.exp(-2j * theta), q, cfg)
-        * qprod_inf(beta * cmath.exp(2j * phi), q, cfg)
-        * qprod_inf(beta * cmath.exp(-2j * phi), q, cfg)
-        / qprod_inf(beta ** 2, q, cfg)
-    )
+    params, head_closed = _product_kernel(theta, phi, q, beta, cfg)
     closed = head_closed * complex(aw_weight(cmath.exp(1j * psi), params, q, cfg))
     head_series = complex(
         qprod_inf(q, q, cfg)
@@ -757,7 +738,7 @@ def apply_I_minus1(f, r: complex, y: complex, q: float,
 
 def iterate_I_minus1(f, times: int, r: complex, q: float,
                      cfg: NumericConfig = DEFAULT_CONFIG):
-    """Callable computing the times-fold composition of the order -1 operator."""
+    """Callable computing the times-fold composition of the order -1 operator at a scalar y."""
     func = _as_callable(f)
     if times == 0:
         return func
@@ -765,9 +746,6 @@ def iterate_I_minus1(f, times: int, r: complex, q: float,
     inner = iterate_I_minus1(func, times - 1, r, q, cfg)
 
     def out(y):
-        y = np.asarray(y, dtype=complex)
-        if y.shape:
-            return np.array([apply_I_minus1(inner, r, complex(v), q, cfg) for v in y])
         return apply_I_minus1(inner, r, complex(y), q, cfg)
 
     return out

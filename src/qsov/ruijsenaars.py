@@ -233,7 +233,11 @@ def a_ratio_invariance_residual(x, t: float, xi: complex, u: complex) -> float:
 
 
 def normalization_row(x, t: float, xi: complex, u: complex, n_ambient: int = 2):
-    """Row vector normalizing the eigenvector of the 2x2 system."""
+    """Row vector normalizing the eigenvector of the 2x2 system.
+
+    n_ambient is the particle count of the Lax matrix the row pairs with: 2,
+    or 3 for the 2x2 block of the three-particle chain coupled at xi = x3.
+    """
     tn = t ** n_ambient
     return np.array(
         [
@@ -244,12 +248,16 @@ def normalization_row(x, t: float, xi: complex, u: complex, n_ambient: int = 2):
     )
 
 
+def _b_terms(alpha, L) -> tuple:
+    """alpha_0 (alpha L)_1 and alpha_1 (alpha L)_0, whose difference is b(u)."""
+    aL = alpha @ L
+    return alpha[0] * aL[1], alpha[1] * aL[0]
+
+
 def b_poly_value(x, Tx, t: float, xi: complex, u: complex) -> complex:
     """Determinant whose zeros are the separation points."""
-    alpha = normalization_row(x, t, xi, u)
-    L = lax_matrix(x, Tx, t, u)
-    aL = alpha @ L
-    return alpha[0] * aL[1] - alpha[1] * aL[0]
+    first, second = _b_terms(normalization_row(x, t, xi, u), lax_matrix(x, Tx, t, u))
+    return first - second
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +285,17 @@ def log_gradient(fn, x, Tx, h: float = 1e-5):
     return dP, dX
 
 
+def _component_gradients(fn, x, Tx, h: float) -> list:
+    """log_gradient of a vector-valued fn, as one (dP, dX) pair per component.
+
+    fn returns its components as Python complex numbers in an object array,
+    so the stencil does the same complex arithmetic on each of them as on a
+    scalar function, and evaluates fn once per stencil point for all of them.
+    """
+    dP, dX = log_gradient(fn, x, Tx, h)
+    return list(zip(zip(*dP), zip(*dX)))
+
+
 def _bracket(FP, FX, GP, GX) -> complex:
     """{F, G} from the log-gradients (dP, dX) of F and of G."""
     return -1j * sum(FP[j] * GX[j] - FX[j] * GP[j] for j in range(len(FP)))
@@ -291,12 +310,7 @@ def poisson_bracket(F, G, x, Tx, h: float = 1e-5) -> complex:
 
 
 def _separation_vector(t: float, xi: complex, ref: SeparationData):
-    """(y1, y2, Ty1, Ty2) at (x, Tx), roots ordered to follow ref.
-
-    One separation solve per point.  The components are Python complex
-    numbers in an object array, so log_gradient's stencil does the same
-    complex arithmetic on each of them as on a scalar function.
-    """
+    """(y1, y2, Ty1, Ty2) at (x, Tx), roots ordered to follow ref, from one solve."""
     def fn(x, Tx):
         data = separation_variables(x, Tx, t, xi, ref=ref.y, check=False)
         return np.array([*data.y, *data.Ty], dtype=object)
@@ -316,8 +330,7 @@ def canonicity_check(x, Tx, t: float, xi: complex, h: float = 1e-5,
     solved once for all six brackets.
     """
     base = separation_variables(x, Tx, t, xi)
-    dP, dX = log_gradient(_separation_vector(t, xi, base), x, Tx, h)
-    y1, y2, T1, T2 = (([d[k] for d in dP], [d[k] for d in dX]) for k in range(4))
+    y1, y2, T1, T2 = _component_gradients(_separation_vector(t, xi, base), x, Tx, h)
     residuals = {
         "y1_y2": abs(_bracket(*y1, *y2)),
         "Ty1_Ty2": abs(_bracket(*T1, *T2)),
@@ -379,9 +392,15 @@ def richardson_report(x, Tx, t: float, xi: complex, floor: float = 1e-10) -> dic
 
 
 def involutivity_residual(x, Tx, t: float, h: float = 1e-5) -> float:
-    H1f = lambda xv, Tv: hamiltonians(xv, Tv, t)[0]  # noqa: E731
-    H2f = lambda xv, Tv: hamiltonians(xv, Tv, t)[1]  # noqa: E731
-    return abs(poisson_bracket(H1f, H2f, x, Tx, h))
+    """|{H1, H2}|, with H1 and H2 from one hamiltonians call per stencil point.
+
+    Equal to abs(poisson_bracket) of the two scalar functions, bit for bit.
+    """
+    def h12(xv, Tv):
+        return np.array(hamiltonians(xv, Tv, t)[:2], dtype=object)
+
+    H1, H2 = _component_gradients(h12, x, Tx, h)
+    return abs(_bracket(*H1, *H2))
 
 
 # ---------------------------------------------------------------------------
@@ -580,37 +599,6 @@ def gauge_ratio_report(x, q: float, t: float, ytld, tol: float = 1e-10) -> dict:
     return report
 
 
-def reduced_lax(x3amb, Ttld, t: float, u: complex) -> np.ndarray:
-    """Top-left 2x2 block of the three-particle Lax matrix (last row/column removed)."""
-    x1, x2, x3 = x3amb
-    t3 = t ** 3
-    if abs(u - 1.0) < 1e-12 or abs(u - t3) < 1e-12:
-        raise PoleError(f"spectral parameter {u} sits on a pole")
-    dcoef = (1.0 - t) * (t3 - u) / (2.0 * t ** 2 * (1.0 - u))
-    L = np.empty((2, 2), dtype=complex)
-    for j, xj in enumerate((x1, x2)):
-        dj = dcoef * Ttld[j]
-        for i, xi_ in enumerate((x1, x2, x3)):
-            if i != j:
-                dj *= v_factor(xj, xi_, t)
-        for k, xk in enumerate((x1, x2)):
-            e_jk = (t3 + u) / (t3 - u) - (t * xj + xk) / (t * xj - xk)
-            L[j, k] = dj * e_jk
-    return L
-
-
-def _reduced_row(x3amb, t: float, u: complex) -> np.ndarray:
-    x1, x2, x3 = x3amb
-    t3 = t ** 3
-    return np.array(
-        [
-            (t3 + u) / (t3 - u) - (t * x3 + x1) / (t * x3 - x1),
-            (t3 + u) / (t3 - u) - (t * x3 + x2) / (t * x3 - x2),
-        ],
-        dtype=complex,
-    )
-
-
 def reduction_map_report(x3amb, Ttld, t: float, tol: float = 1e-8) -> dict:
     """Transport of the two-particle separation data into the reduced chain.
 
@@ -628,12 +616,11 @@ def reduction_map_report(x3amb, Ttld, t: float, tol: float = 1e-8) -> dict:
     for y, Ty in zip(data.y, data.Ty):
         ytld = t * y
         Tytld = Ty * (st - ytld / st) / (st * (1.0 - ytld))
-        L = reduced_lax(x3amb, Ttld, t, ytld)
-        alpha = _reduced_row(x3amb, t, ytld)
-        aL = alpha @ L
-        bval = alpha[0] * aL[1] - alpha[1] * aL[0]
-        bscale = max(abs(alpha[0] * aL[1]), abs(alpha[1] * aL[0]), 1.0)
-        res_b = abs(bval) / bscale
+        # rows 0 and 1 of the Lax matrix read only the first two momenta
+        L = lax_matrix(x3amb, (*Ttld, 1.0), t, ytld)[:2, :2]
+        alpha = normalization_row((x1, x2), t, x3, ytld, n_ambient=3)
+        first, second = _b_terms(alpha, L)
+        res_b = abs(first - second) / max(abs(first), abs(second), 1.0)
         v1 = L[0, 0] - (alpha[0] / alpha[1]) * L[0, 1]
         v2 = L[1, 1] - (alpha[1] / alpha[0]) * L[1, 0]
         res_T = max(abs(v1 - Tytld), abs(v2 - Tytld)) / max(abs(Tytld), 1.0)
@@ -662,16 +649,12 @@ def random_phase_point(rng, n: int = 2, min_gap: float = 0.25) -> PhasePoint:
 
 def hermitian_phase_point(rng, n: int = 3) -> PhasePoint:
     """Conjugation-symmetric configuration, on which the integrals are real."""
-    if n == 2:
-        theta = rng.uniform(0.3, 2.5)
-        T = rng.uniform(0.5, 2.0)
-        return PhasePoint(x=(cmath.exp(1j * theta), cmath.exp(-1j * theta)), Tx=(T, T))
-    if n == 3:
-        theta = rng.uniform(0.4, 2.5)
-        T = rng.uniform(0.5, 2.0)
-        T3 = rng.uniform(0.5, 2.0)
-        return PhasePoint(
-            x=(cmath.exp(1j * theta), cmath.exp(-1j * theta), 1.0 + 0.0j),
-            Tx=(T, T, T3),
-        )
-    raise ValueError("only 2- and 3-particle symmetric samples are provided")
+    if n != 3:
+        raise ValueError("only 3-particle symmetric samples are provided")
+    theta = rng.uniform(0.4, 2.5)
+    T = rng.uniform(0.5, 2.0)
+    T3 = rng.uniform(0.5, 2.0)
+    return PhasePoint(
+        x=(cmath.exp(1j * theta), cmath.exp(-1j * theta), 1.0 + 0.0j),
+        Tx=(T, T, T3),
+    )

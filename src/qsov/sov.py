@@ -50,25 +50,6 @@ class SeparatingImage:
     f: macdonald.SeparatedPoly
 
 
-@dataclass(frozen=True)
-class TransitionRow:
-    """One row of a transition matrix.
-
-    vector is the row as a Laurent2 whose exponent (nu.l1, nu.l2) carries the
-    nu entry: the row the context's tables store, shared, so never mutate it.
-    entries builds a fresh {Pair: scalar} dict on every read (in pairs_under
-    order for the closed route), which callers may change freely.
-    """
-
-    lam: Pair
-    kind: str
-    vector: Laurent2
-
-    @property
-    def entries(self) -> dict:
-        return {Pair(*k): v for k, v in self.vector.c.items()}
-
-
 def _linear(c, e1: int, e2: int) -> Laurent2:
     """1 - c x1^e1 x2^e2."""
     return Laurent2({(0, 0): ONE, (e1, e2): -c})
@@ -557,8 +538,12 @@ def _base_row(kind: str, lam: Pair, ctx: QContext, method: str) -> Laurent2:
     return row
 
 
-def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") -> TransitionRow:
+def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") -> Laurent2:
     """Row of a transition matrix over {nu inside lam}, zero entries dropped.
+
+    The row is a Laurent2 whose exponent (nu.l1, nu.l2) carries the nu
+    entry (in pairs_under order for the closed route): the row the context's
+    tables store, shared, so never mutate it.  Its c view is read-only.
 
     kind is one of pi, rho, Q, R or the tilded variants pit, rhot, Qt, Rt;
     method 'closed' uses the product formulas, 'recurrence' builds the row
@@ -571,7 +556,7 @@ def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") 
         raise ValueError(f"unknown transition kind {kind!r}")
     if method not in ("closed", "recurrence"):
         raise ValueError("method must be 'closed' or 'recurrence'")
-    return TransitionRow(lam=lam, kind=kind, vector=_base_row(kind, lam, ctx, method))
+    return _base_row(kind, lam, ctx, method)
 
 
 # ---------------------------------------------------------------------------

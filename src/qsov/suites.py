@@ -226,12 +226,12 @@ def case_transitions(ctx: QContext, lam: Pair):
     for kind in ("rho", "pi", "Q", "R", "rhot", "pit", "Qt", "Rt"):
         closed = sov.transition_row(kind, lam, ctx, "closed")
         rec = sov.transition_row(kind, lam, ctx, "recurrence")
-        if closed.vector != rec.vector:
+        if closed != rec:
             raise AssertionError(f"row construction mismatch: kind={kind}, lam={lam}")
-    rho = sov.transition_row("rho", lam, ctx).vector
+    rho = sov.transition_row("rho", lam, ctx)
     if rho.coeff(lam.l1, lam.l2) != sov.rho_diagonal(lam, ctx):
         raise AssertionError(f"diagonal initial condition (rho) wrong for {lam}")
-    Rrow = sov.transition_row("R", lam, ctx).vector
+    Rrow = sov.transition_row("R", lam, ctx)
     if Rrow.coeff(lam.l1, lam.l2) != sov.R_diagonal(lam, ctx):
         raise AssertionError(f"diagonal initial condition (R) wrong for {lam}")
 
@@ -240,7 +240,7 @@ def case_reassembly(ctx: QContext, lam: Pair):
     P = macdonald.macdonald_poly(lam, ctx).poly
 
     def combine(kind, element):
-        return sov.transition_row(kind, lam, ctx).vector.combine(lambda k: element(Pair(*k)))
+        return sov.transition_row(kind, lam, ctx).combine(lambda k: element(Pair(*k)))
 
     for kind, tag in (("rho", "r"), ("pi", "p")):
         if combine(kind, lambda nu: sov.basis(tag, nu, ctx)) != P:
@@ -269,8 +269,8 @@ def case_mutual_inverse(ctx: QContext, lam: Pair):
     for first, second in (("R", "rho"), ("rho", "R"), ("Q", "pi"), ("pi", "Q")):
         # sum over nu of first[lam][nu] * (row nu of second), one sum reduced once: a row
         # holds only labels inside its own, so nu runs inside lam and the sum's mu inside nu
-        total = sov.transition_row(first, lam, ctx).vector.combine(
-            lambda k: sov.transition_row(second, Pair(*k), ctx).vector
+        total = sov.transition_row(first, lam, ctx).combine(
+            lambda k: sov.transition_row(second, Pair(*k), ctx)
         )
         if total != unit:
             mu = next(mu for mu in pairs_under(lam) if total.coeff(mu.l1, mu.l2) != unit.coeff(mu.l1, mu.l2))

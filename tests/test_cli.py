@@ -143,6 +143,8 @@ def test_out_file(tmp_path, capsys):
         ["factorize", "--lam", "1,0"],
         ["verify", "qpoly", "--s", "abc"],
         ["verify", "numkernel", "--quad-points", "10"],
+        ["verify", "numkernel", "--tol-tight", "nan"],
+        ["verify", "ruijsenaars", "--tol-loose", "inf"],
     ],
 )
 def test_bad_flag_value_is_usage_error(capsys, argv):

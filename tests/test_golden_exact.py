@@ -75,8 +75,8 @@ def families() -> dict:
                 out[name].append([where, label, _terms(fn(P, ctx).c)])
             for method in ("closed", "recurrence"):
                 for kind in KINDS:
-                    row = sov.transition_row(kind, lam, ctx, method).entries
-                    out[f"transition_{method}"].append([where, kind, label, _terms(row)])
+                    row = sov.transition_row(kind, lam, ctx, method)
+                    out[f"transition_{method}"].append([where, kind, label, _terms(row.c)])
             out["f_lam"].append([where, label, _terms(macdonald.separated_poly(lam, ctx).poly.c)])
             out["f_lam_alt"].append(
                 [where, label, _terms(macdonald.separated_poly_alt(lam, ctx).poly.c)]

@@ -23,6 +23,8 @@ def test_config_validation():
         nk.NumericConfig(prod_cutoff=1e-3)
     with pytest.raises(ValueError):
         nk.NumericConfig(tol_tight=0.0)
+    with pytest.raises(ValueError):
+        nk.NumericConfig(tol_loose=float("nan"))
 
 
 def test_awparams_disk():

@@ -51,6 +51,23 @@ def test_generating_function_trivial_order():
     assert qpoly.generating_function_check(0, ctx.t, ctx)
 
 
+def test_generating_function_catches_a_corrupted_series(monkeypatch):
+    # doubling r_2 changes both q-binomial series; cq_sum reads them too, so
+    # only a comparison with the recurrence can see it
+    ctx = CTXS[1]
+    ratios = qpoly._series_ratios
+
+    def corrupted(n, beta, q):
+        out = ratios(n, beta, q)
+        if n >= 2:
+            out[2] *= 2
+        return out
+
+    monkeypatch.setattr(qpoly, "_series_ratios", corrupted)
+    with pytest.raises(IdentityViolation, match="at order 2"):
+        qpoly.generating_function_check(6, ctx.t, ctx)
+
+
 def test_identity_violation_surfaces():
     # a wrong spectral pair must be caught by the equation checker
     ctx = CTXS[0]

@@ -122,6 +122,27 @@ def test_poisson_involutivity():
         assert rj.involutivity_residual(p.x, p.Tx, T) < 1e-6
 
 
+def test_involutivity_takes_one_gradient(monkeypatch):
+    rng = random.Random(16)
+    points = [rj.random_phase_point(rng, 2) for _ in range(4)]
+    H1f = lambda xv, Tv: rj.hamiltonians(xv, Tv, T)[0]  # noqa: E731
+    H2f = lambda xv, Tv: rj.hamiltonians(xv, Tv, T)[1]  # noqa: E731
+    refs = [abs(rj.poisson_bracket(H1f, H2f, p.x, p.Tx)) for p in points]
+    calls = []
+    hamiltonians = rj.hamiltonians
+
+    def counting(*args):
+        calls.append(args)
+        return hamiltonians(*args)
+
+    monkeypatch.setattr(rj, "hamiltonians", counting)
+    for p, ref in zip(points, refs):
+        calls.clear()
+        assert rj.involutivity_residual(p.x, p.Tx, T) == ref
+        # 4 stencil points for each of 2 momenta and 2 coordinates, one call each
+        assert len(calls) == 16
+
+
 def test_weyl_bracket_on_coordinates():
     # sanity of the finite-difference bracket on the defining pairs
     rng = random.Random(9)

@@ -11,19 +11,24 @@ KINDS = ("rho", "pi", "Q", "R", "rhot", "pit", "Qt", "Rt")
 LABELS = (Pair(0, 1), Pair(-1, 2), Pair(0, 4), Pair(-3, 0), Pair(2, 5))
 
 
+def _entries(row) -> dict:
+    """A transition row as a fresh {Pair: scalar} dict, in the row's term order."""
+    return {Pair(*k): v for k, v in row.c.items()}
+
+
 def test_diagonal_entries():
     for ctx in (CTX, CTX2):
         for lam in LABELS:
             m = lam.width
-            rho = sov.transition_row("rho", lam, ctx).entries[lam]
+            rho = _entries(sov.transition_row("rho", lam, ctx))[lam]
             assert rho == (-1) ** m * ctx.qh(-m * (m - 1)) * (ctx.t * ctx.xi) ** (-m)
-            R = sov.transition_row("R", lam, ctx).entries[lam]
+            R = _entries(sov.transition_row("R", lam, ctx))[lam]
             assert R == (-1) ** m * ctx.qh(m * (m - 1)) * (ctx.t * ctx.xi) ** m
             assert rho * R == 1
 
 
 def test_degenerate_width_row():
-    row = sov.transition_row("rho", Pair(1, 1), CTX).entries
+    row = _entries(sov.transition_row("rho", Pair(1, 1), CTX))
     assert row == {Pair(1, 1): 1}
 
 
@@ -31,8 +36,8 @@ def test_degenerate_width_row():
 @pytest.mark.parametrize("kind", KINDS)
 def test_closed_matches_recurrence(ctx, kind):
     for lam in LABELS:
-        closed = sov.transition_row(kind, lam, ctx, "closed").entries
-        rec = sov.transition_row(kind, lam, ctx, "recurrence").entries
+        closed = _entries(sov.transition_row(kind, lam, ctx, "closed"))
+        rec = _entries(sov.transition_row(kind, lam, ctx, "recurrence"))
         assert closed == rec
 
 
@@ -42,12 +47,12 @@ def test_reassembly(ctx):
         P = macdonald.macdonald_poly(lam, ctx).poly
         for kind, tag in (("rho", "r"), ("pi", "p")):
             acc = Laurent2()
-            for nu, c in sov.transition_row(kind, lam, ctx).entries.items():
+            for nu, c in _entries(sov.transition_row(kind, lam, ctx)).items():
                 acc = acc + sov.basis(tag, nu, ctx) * c
             assert acc == P
         for kind, tag in (("Q", "p"), ("R", "r")):
             acc = Laurent2()
-            for nu, c in sov.transition_row(kind, lam, ctx).entries.items():
+            for nu, c in _entries(sov.transition_row(kind, lam, ctx)).items():
                 acc = acc + macdonald.macdonald_poly(nu, ctx).poly * c
             assert acc == sov.basis(tag, lam, ctx)
 
@@ -61,24 +66,24 @@ def test_factorized_image_expansions(ctx):
         F = f_image(lam)
         for kind, tag in (("pit", "pt"), ("rhot", "rt")):
             acc = Laurent2()
-            for nu, c in sov.transition_row(kind, lam, ctx).entries.items():
+            for nu, c in _entries(sov.transition_row(kind, lam, ctx)).items():
                 acc = acc + sov.basis(tag, nu, ctx) * c
             assert acc == F
         for kind, tag in (("Qt", "pt"), ("Rt", "rt")):
             acc = Laurent2()
-            for nu, c in sov.transition_row(kind, lam, ctx).entries.items():
+            for nu, c in _entries(sov.transition_row(kind, lam, ctx)).items():
                 acc = acc + f_image(nu) * c
             assert acc == sov.basis(tag, lam, ctx)
 
 
 def test_tilded_scalings():
     lam = Pair(-1, 2)
-    pi_row = sov.transition_row("pi", lam, CTX).entries
-    pit_row = sov.transition_row("pit", lam, CTX).entries
+    pi_row = _entries(sov.transition_row("pi", lam, CTX))
+    pit_row = _entries(sov.transition_row("pit", lam, CTX))
     for nu, value in pit_row.items():
         assert value == pi_row[nu] * sov.mu_p(nu, CTX)
-    Q_row = sov.transition_row("Q", lam, CTX).entries
-    Qt_row = sov.transition_row("Qt", lam, CTX).entries
+    Q_row = _entries(sov.transition_row("Q", lam, CTX))
+    Qt_row = _entries(sov.transition_row("Qt", lam, CTX))
     for nu, value in Qt_row.items():
         assert value == Q_row[nu] / sov.mu_p(lam, CTX)
 
@@ -88,7 +93,7 @@ def test_mutual_inverse_identities(ctx):
     lam = Pair(-1, 3)
     under = pairs_under(lam)
     rows = {
-        kind: {l: sov.transition_row(kind, l, ctx).entries for l in under}
+        kind: {l: _entries(sov.transition_row(kind, l, ctx)) for l in under}
         for kind in ("rho", "pi", "Q", "R")
     }
     zero = frac(0)
@@ -136,20 +141,29 @@ def test_routes_stay_independent_under_cache(cold_rows, monkeypatch, name, cache
     with pytest.raises(AssertionError, match="row construction mismatch"):
         suites.case_transitions(CTX, lam)
     for kind in kinds:
-        closed = sov.transition_row(kind, lam, CTX, "closed").entries
-        assert closed != sov.transition_row(kind, lam, CTX, "recurrence").entries, kind
+        closed = _entries(sov.transition_row(kind, lam, CTX, "closed"))
+        assert closed != _entries(sov.transition_row(kind, lam, CTX, "recurrence")), kind
 
 
 @pytest.mark.parametrize("method", ["closed", "recurrence"])
 def test_row_entries_are_fresh_copies(cold_rows, method):
+    # no caller can change a stored row: its c view refuses writes, and the
+    # entries read from it are a fresh dict
     lam = Pair(-1, 2)
     for kind in KINDS:
-        first = sov.transition_row(kind, lam, CTX2, method).entries
-        terms = list(first.items())
+        row = sov.transition_row(kind, lam, CTX2, method)
+        terms = list(row.c.items())
+        with pytest.raises(TypeError):
+            row.c[(9, 9)] = frac(1)
+        with pytest.raises(TypeError):
+            row.c[(lam.l1, lam.l2)] += 1
+        with pytest.raises(TypeError):
+            del row.c[(0, 0)]
+        first = _entries(row)
         first[Pair(9, 9)] = frac(1)
         first[lam] += 1
         del first[Pair(0, 0)]
-        assert list(sov.transition_row(kind, lam, CTX2, method).entries.items()) == terms, kind
+        assert list(sov.transition_row(kind, lam, CTX2, method).c.items()) == terms, kind
 
 
 def _reference_multiplier(e, m, ctx):
@@ -222,7 +236,7 @@ def test_cold_cache_tilded_first_two_contexts(cold_rows):
             (nu, v) for nu in pairs_under(lam)
             if (v := _reference_entry(kind, lam, nu, ctx)) != 0
         ]
-        entries = sov.transition_row(kind, lam, ctx, method).entries
+        entries = _entries(sov.transition_row(kind, lam, ctx, method))
         # the closed route lists nu in pairs_under order; the recurrence grows from the diagonal
         got = list(entries.items()) if method == "closed" else entries
         want = expected if method == "closed" else dict(expected)
@@ -320,7 +334,7 @@ def test_stored_rows_are_canonical(cold_rows):
         for lam in LABELS:
             for kind in KINDS:
                 for method in ("closed", "recurrence"):
-                    row = sov.transition_row(kind, lam, ctx, method).vector
+                    row = sov.transition_row(kind, lam, ctx, method)
                     assert exact.tables(ctx).rows[(kind, lam, method)] is row
         rows = exact.tables(ctx).rows
         assert len(rows) >= len(LABELS) * len(KINDS) * 2
@@ -338,10 +352,10 @@ def test_row_sums_fail_on_one_corrupted_entry(cold_rows, monkeypatch):
     terms = dict(row.c)
     terms[(nu.l1, nu.l2)] *= 2  # an off-diagonal entry of R at a label under lam
     monkeypatch.setitem(exact.tables(CTX).rows, key, Laurent2(terms))
-    assert sov.transition_row("R", lam, CTX).entries[nu] == 2 * row.coeff(nu.l1, nu.l2)
+    assert _entries(sov.transition_row("R", lam, CTX))[nu] == 2 * row.coeff(nu.l1, nu.l2)
     # the sum gains R[lam][nu] * (row nu of rho), so it first fails at the first label,
     # in pairs_under order, where that rho row has an entry
-    rho_nu = sov.transition_row("rho", nu, CTX).entries
+    rho_nu = _entries(sov.transition_row("rho", nu, CTX))
     first = next(mu for mu in pairs_under(lam) if mu in rho_nu)
     with pytest.raises(AssertionError, match=rf"^inverse identity R\*rho fails at mu={first}, lam={lam}$"):
         suites.case_mutual_inverse(CTX, lam)

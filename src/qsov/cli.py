@@ -84,11 +84,9 @@ def cmd_compute(args, inputs: dict) -> int:
         poly = qpoly.cq_sum(args.n, inputs["beta"], ctx)
         _emit(_poly1_table(poly), args)
     elif kind == "macdonald":
-        table = {}
-        for nu1 in range(lam.l1, lam.total // 2 + 1):
-            nu = Pair(nu1, lam.total - nu1)
-            table[str(nu)] = rational_str(macdonald.u_coeff(lam, nu, ctx))
-        _emit(table, args)
+        # the coefficient of m_nu in P_lam is its term at (nu1, nu2), nu1 <= nu2
+        P = macdonald.macdonald_poly(lam, ctx).poly
+        _emit({f"{a},{b}": rational_str(v) for (a, b), v in sorted(P.c.items()) if a <= b}, args)
     elif kind == "separated":
         _emit(_poly1_table(macdonald.separated_poly(lam, ctx).poly), args)
     elif kind == "basis":

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import NotDivisible, PoleError
 
@@ -62,36 +63,46 @@ def rational_str(v) -> str:
 # Integer pairs indexing polynomials, bases and matrix rows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pair:
-    """Ordered integer pair (l1 <= l2)."""
+class Pair(tuple):
+    """Ordered integer pair (l1 <= l2), stored as the tuple (l1, l2).
 
-    l1: int
-    l2: int
+    A label is then the exponent of its entry in a label-indexed vector:
+    Laurent2({nu: c}) holds c at nu, and a pair equals and hashes as the
+    plain tuple (l1, l2).
+    """
 
-    def __post_init__(self):
-        if not (isinstance(self.l1, int) and isinstance(self.l2, int)):
+    __slots__ = ()
+
+    def __new__(cls, l1: int, l2: int):
+        if not (isinstance(l1, int) and isinstance(l2, int)):
             raise TypeError("Pair components must be integers")
-        if self.l1 > self.l2:
-            raise ValueError(f"Pair requires l1 <= l2, got ({self.l1},{self.l2})")
+        if l1 > l2:
+            raise ValueError(f"Pair requires l1 <= l2, got ({l1},{l2})")
+        return tuple.__new__(cls, (l1, l2))
+
+    l1 = property(itemgetter(0))
+    l2 = property(itemgetter(1))
+
+    def __reduce__(self):
+        return (Pair, tuple(self))
 
     @property
     def total(self) -> int:
-        return self.l1 + self.l2
+        return self[0] + self[1]
 
     @property
     def width(self) -> int:
-        return self.l2 - self.l1
+        return self[1] - self[0]
 
     def bar(self) -> "Pair":
-        return Pair(-self.l2, -self.l1)
+        return Pair(-self[1], -self[0])
 
     def contains(self, other: "Pair") -> bool:
         """True when other's interval sits inside self's interval."""
-        return self.l1 <= other.l1 <= other.l2 <= self.l2
+        return self[0] <= other[0] <= other[1] <= self[1]
 
     def __str__(self):
-        return f"{self.l1},{self.l2}"
+        return f"{self[0]},{self[1]}"
 
     @staticmethod
     def parse(text: str) -> "Pair":
@@ -575,7 +586,7 @@ class _Laurent:
         """In place, self += c * p for a polynomial p of the same class and a scalar c.
 
         The one mutating operation: use it only on a polynomial the caller
-        made itself (copy() or linear_combination), never on a shared one.
+        made itself (copy() or combine), never on a shared one.
         """
         c = as_rational(c)
         if c == 0 or not p._n:
@@ -593,15 +604,20 @@ class _Laurent:
     def combine(self, element):
         """sum(self[k] * element(k) for every exponent k of self), reduced once.
 
-        The linear map that sends the monomial of exponent k to the
-        polynomial element(k); the elements share one class.  self's int
-        numerators are the weights, so no scalar is built.  The image of the
-        zero polynomial is the zero Laurent2.
+        The one linear-combination operation: the linear map that sends the
+        monomial of exponent k to the polynomial element(k); the elements
+        share one class.  self's int numerators are the weights over one
+        common denominator, so no scalar is built.  The image of the zero
+        polynomial is the zero Laurent2.
         """
         if not self._n:
             return Laurent2()
-        d = self._d
-        return _combination([(v, d, element(k)) for k, v in self._n.items()])
+        elements = [(v, element(k)) for k, v in self._n.items()]
+        den = lcm(*(p._d for _, p in elements))
+        out = {}
+        for v, p in elements:
+            _add_multiple(out, p._n, v * (den // p._d))
+        return type(elements[0][1])._make(out, self._d * den)
 
     def map_terms(self, fn):
         """Move and rescale every term: c at exponent k becomes c * f at k2, (k2, f) = fn(k).
@@ -618,31 +634,6 @@ class _Laurent:
         if not self._n:
             return "0"
         return " + ".join(f"{rational_str(v)}*{self._mono(k)}" for k, v in sorted(self.c.items()))
-
-
-def _combination(terms):
-    """sum(n / d * p for n, d, p in terms) over one common denominator, reduced once.
-
-    terms is a nonempty list of (int n, int d > 0, polynomial) whose
-    polynomials share one class.
-    """
-    den = lcm(*(d * p._d for _, d, p in terms))
-    out = {}
-    for n, d, p in terms:
-        _add_multiple(out, p._n, n * (den // (d * p._d)))
-    return type(terms[0][2])._make(out, den)
-
-
-def linear_combination(terms):
-    """sum(c * p for c, p in terms) over one common denominator, reduced once.
-
-    terms yields (scalar, polynomial) pairs whose polynomials share one class;
-    an empty sum is the zero Laurent2.
-    """
-    terms = [(*_ints(as_rational(c)), p) for c, p in terms if c != 0]
-    if not terms:
-        return Laurent2()
-    return _combination(terms)
 
 
 class Laurent1(_Laurent):

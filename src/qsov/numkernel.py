@@ -420,13 +420,14 @@ def mab_eigenpoly_report(alpha: float, beta: float, r: complex, y: complex, q: f
     return report
 
 
-def apply_M_xi_numeric(pol, g: int, q: float, xi: complex, y1: complex, y2: complex,
-                       y_plus: complex, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
+def apply_M_xi_numeric(pol, g: int, q: float, xi: complex, y1: complex, y_plus: complex,
+                       cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
     """Full separating map as a contour integral, applied to an exact polynomial.
 
-    y_plus must be a square root of y1*y2 chosen by the caller; y_minus is
-    derived from it.  The argument of the input polynomial follows the
-    kernel's substitution rule, so the x1*x2 scaling comes out automatically.
+    The image is evaluated at (y1, y2) with y2 = y_plus**2 / y1: y_plus is a
+    square root of y1*y2 chosen by the caller, and y_minus = y1 / y_plus.
+    The argument of the input polynomial follows the kernel's substitution
+    rule, so the x1*x2 scaling comes out automatically.
     The kernel is kern_mab with alpha = beta = g, output point y_minus and
     reference point y_plus / t; the input is evaluated on the whole node
     array at once.  The kernel does not depend on the input, so pol may also

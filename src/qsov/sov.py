@@ -6,11 +6,15 @@ exactly computable on any symmetric Laurent polynomial: expand, scale each
 coefficient by the diagonal multiplier, reassemble on the other side.  The
 inverse comes either from inverting the diagonal action or, for integer g,
 from an order-g difference operator with rational coefficients.
+
+An expansion in a basis and a transition row are both Laurent2 vectors whose
+exponents are the labels nu: the expansion of P_lam in the r basis is the
+rho row of lam.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import macdonald
@@ -23,21 +27,12 @@ from .exact import (
     ZERO,
     divide_exact,
     frac,
-    linear_combination,
     pairs_under,
     qshift,
     tables,
 )
 
 BASIS_TAGS = ("p", "r", "pt", "rt")
-
-
-@dataclass
-class BasisExpansion:
-    """Finite expansion of a symmetric polynomial in one of the four bases."""
-
-    tag: str
-    coeffs: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -129,12 +124,14 @@ def _pivot(support) -> Pair:
     return Pair(-neg_lo, top)
 
 
-def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> BasisExpansion:
+def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> Laurent2:
     """Unique finite expansion of a symmetric polynomial in the tagged basis.
 
-    Peels off the _pivot pair of the remaining support at each step,
-    subtracting the matching basis element; every new monomial this
-    introduces has strictly smaller width, so the loop terminates.
+    The result holds the coefficient of basis(tag, nu) at exponent nu, in
+    the order the labels were first picked.  Peels off the _pivot pair of
+    the remaining support at each step, subtracting the matching basis
+    element; every new monomial this introduces has strictly smaller width,
+    so the loop terminates.
     """
     if not p.is_symmetric():
         raise ValueError("expansion requires a symmetric polynomial")
@@ -143,16 +140,17 @@ def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> BasisExpansion:
     cap = 4 * (len(p.c) + 4) ** 2 + 64
     for _ in range(cap):
         if not work:
-            return BasisExpansion(tag=tag, coeffs={k: v for k, v in coeffs.items() if v != 0})
+            return Laurent2(coeffs)
         pick = _pivot(work.c)
-        c = work.coeff(pick.l1, pick.l2) / _leading(tag, pick, ctx)
+        c = work.coeff(*pick) / _leading(tag, pick, ctx)
         coeffs[pick] = coeffs.get(pick, ZERO) + c
         work.iadd_scaled(basis(tag, pick, ctx), -c)
     raise NonTerminating(f"basis expansion did not terminate (tag={tag})")
 
 
-def reassemble(exp: BasisExpansion, ctx: QContext) -> Laurent2:
-    return linear_combination((c, basis(exp.tag, nu, ctx)) for nu, c in exp.coeffs.items())
+def reassemble(vec: Laurent2, tag: str, ctx: QContext) -> Laurent2:
+    """sum of vec's entry at nu times basis(tag, nu): the inverse of expand_in_basis."""
+    return vec.combine(lambda k: basis(tag, Pair(*k), ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -180,26 +178,33 @@ def mu_r(nu: Pair, ctx: QContext):
     return _multiplier(nu.l2, nu.width, ctx)
 
 
-def _diagonal_map(p: Laurent2, source: str, target: str, scale, ctx: QContext) -> Laurent2:
-    """Expand p in the source basis, scale each coefficient by scale(nu), reassemble in target."""
-    exp = expand_in_basis(p, source, ctx)
-    coeffs = {nu: c * scale(nu) for nu, c in exp.coeffs.items()}
-    return reassemble(BasisExpansion(tag=target, coeffs=coeffs), ctx)
+def _mu_scaled(vec: Laurent2, side: str, ctx: QContext, inverse: bool = False) -> Laurent2:
+    """The diagonal action: vec's entry at nu times mu_p(nu) (side "p") or mu_r(nu) ("r").
+
+    With inverse, the entry is divided by the multiplier instead.
+    """
+    e = 0 if side == "p" else 1  # mu_p reads nu1, mu_r reads nu2
+
+    def scale(k):
+        mu = _multiplier(k[e], k[1] - k[0], ctx)
+        return k, (ONE / mu if inverse else mu)
+
+    return vec.map_terms(scale)
 
 
 def apply_M(p: Laurent2, ctx: QContext) -> Laurent2:
     """Separating map, computed through the p basis."""
-    return _diagonal_map(p, "p", "pt", lambda nu: mu_p(nu, ctx), ctx)
+    return reassemble(_mu_scaled(expand_in_basis(p, "p", ctx), "p", ctx), "pt", ctx)
 
 
 def apply_M_via_r(p: Laurent2, ctx: QContext) -> Laurent2:
     """Same map, computed through the r basis (dual-route consistency)."""
-    return _diagonal_map(p, "r", "rt", lambda nu: mu_r(nu, ctx), ctx)
+    return reassemble(_mu_scaled(expand_in_basis(p, "r", ctx), "r", ctx), "rt", ctx)
 
 
 def apply_M_inverse(p: Laurent2, ctx: QContext) -> Laurent2:
     """Inverse map through the tilded p basis."""
-    return _diagonal_map(p, "pt", "p", lambda nu: ONE / mu_p(nu, ctx), ctx)
+    return reassemble(_mu_scaled(expand_in_basis(p, "pt", ctx), "p", ctx, inverse=True), "p", ctx)
 
 
 def apply_M_inverse_qdiff(p: Laurent2, ctx: QContext) -> Laurent2:
@@ -491,21 +496,16 @@ def _R_row_recurrence(lam: Pair, ctx: QContext) -> dict:
     return row
 
 
-def _vector(entries: dict) -> Laurent2:
-    """A {Pair: scalar} row as a Laurent2 keyed by (nu.l1, nu.l2), zero entries dropped."""
-    return Laurent2({(nu.l1, nu.l2): v for nu, v in entries.items()})
-
-
 def _base_row(kind: str, lam: Pair, ctx: QContext, method: str) -> Laurent2:
-    """The kind row of lam built by one route, as a Laurent2 keyed by (nu.l1, nu.l2).
+    """The kind row of lam built by one route, as a Laurent2 keyed by the labels nu.
 
     Stored per (kind, lam, method) in the context's tables, tilded kinds
     included, so the closed and recurrence routes never read each other's
     rows.  pi and Q rows by recurrence come from the rho and R rows of the
     reflected label through the involution; a tilded row scales the
-    untilded row of its route by mu_p(nu), mu_r(nu), 1/mu_p(lam) or
-    1/mu_r(lam), whose multipliers _multiplier stores.  Stored rows are
-    shared and never mutated.
+    untilded row of its route by mu_p(nu), mu_r(nu) (through _mu_scaled),
+    1/mu_p(lam) or 1/mu_r(lam), whose multipliers _multiplier stores.
+    Stored rows are shared and never mutated.
     """
     rows = tables(ctx).rows
     key = (kind, lam, method)
@@ -516,16 +516,15 @@ def _base_row(kind: str, lam: Pair, ctx: QContext, method: str) -> Laurent2:
     if base != kind:
         row = _base_row(base, lam, ctx, method)
         if base in ("pi", "rho"):
-            e = 0 if base == "pi" else 1  # mu_p reads nu1, mu_r reads nu2
-            row = row.map_terms(lambda k: (k, _multiplier(k[e], k[1] - k[0], ctx)))
+            row = _mu_scaled(row, "p" if base == "pi" else "r", ctx)
         else:
             row = row * (ONE / (mu_p(lam, ctx) if base == "Q" else mu_r(lam, ctx)))
     elif method == "closed":
-        row = _vector({nu: _closed_entry(base, lam, nu, ctx) for nu in pairs_under(lam)})
+        row = Laurent2({nu: _closed_entry(base, lam, nu, ctx) for nu in pairs_under(lam)})
     elif base == "rho":
-        row = _vector(_rho_row_recurrence(lam, ctx))
+        row = Laurent2(_rho_row_recurrence(lam, ctx))
     elif base == "R":
-        row = _vector(_R_row_recurrence(lam, ctx))
+        row = Laurent2(_R_row_recurrence(lam, ctx))
     else:
         # the involution: the entry at nu of the reflected row moves to nu.bar() = (-nu2, -nu1)
         bar = _base_row("rho" if base == "pi" else "R", lam.bar(), ctx, method)
@@ -541,8 +540,8 @@ def _base_row(kind: str, lam: Pair, ctx: QContext, method: str) -> Laurent2:
 def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") -> Laurent2:
     """Row of a transition matrix over {nu inside lam}, zero entries dropped.
 
-    The row is a Laurent2 whose exponent (nu.l1, nu.l2) carries the nu
-    entry (in pairs_under order for the closed route): the row the context's
+    The row is a Laurent2 whose exponent nu carries the nu entry (in
+    pairs_under order for the closed route): the row the context's
     tables store, shared, so never mutate it.  Its c view is read-only.
 
     kind is one of pi, rho, Q, R or the tilded variants pit, rhot, Qt, Rt;

@@ -243,7 +243,7 @@ def case_reassembly(ctx: QContext, lam: Pair):
         return sov.transition_row(kind, lam, ctx).combine(lambda k: element(Pair(*k)))
 
     for kind, tag in (("rho", "r"), ("pi", "p")):
-        if combine(kind, lambda nu: sov.basis(tag, nu, ctx)) != P:
+        if sov.reassemble(sov.transition_row(kind, lam, ctx), tag, ctx) != P:
             raise AssertionError(f"reassembly of P fails via {kind} for {lam}")
     for kind, tag in (("Q", "p"), ("R", "r")):
         if combine(kind, lambda nu: macdonald.macdonald_poly(nu, ctx).poly) != sov.basis(tag, lam, ctx):
@@ -257,7 +257,7 @@ def case_reassembly(ctx: QContext, lam: Pair):
 
     F = f_image(lam)
     for kind, tag in (("pit", "pt"), ("rhot", "rt")):
-        if combine(kind, lambda nu: sov.basis(tag, nu, ctx)) != F:
+        if sov.reassemble(sov.transition_row(kind, lam, ctx), tag, ctx) != F:
             raise AssertionError(f"factorized-image expansion fails via {kind} for {lam}")
     for kind, tag in (("Qt", "pt"), ("Rt", "rt")):
         if combine(kind, f_image) != sov.basis(tag, lam, ctx):
@@ -333,7 +333,7 @@ def case_mxi_vs_exact(s: str, g: int, xi: str, cfg: nk.NumericConfig):
         y1 = tf * cmath.exp(-2j * th1)
         y2 = tf * cmath.exp(-2j * th2)
         yp = tf * cmath.exp(-1j * (th1 + th2))
-        vals = nk.apply_M_xi_numeric(inputs, g, qf, xif, y1, y2, yp, cfg)
+        vals = nk.apply_M_xi_numeric(inputs, g, qf, xif, y1, yp, cfg)
         for val, (image, mu) in zip(vals, images):
             ref = complex(image.evaluate(y1, y2)) * mu
             worst = max(worst, abs(val - ref) / max(abs(ref), 1.0))

@@ -17,7 +17,6 @@ from qsov.exact import (
     ZERO,
     divide_exact,
     frac,
-    linear_combination,
     pairs_under,
     qbinomial,
     qpochhammer,
@@ -206,7 +205,7 @@ def _add2(k1, k2):
 
 
 def _check_ring(cls, da, db, s, n, add, one_key):
-    """+, -, *, scalar *, **, iadd_scaled, linear_combination, map_terms and combine against dict references."""
+    """+, -, *, scalar *, **, iadd_scaled, map_terms and combine against dict references."""
     a, b = cls(da), cls(db)
     ra, rb = _nonzero_terms(da), _nonzero_terms(db)
     power = {one_key: frac(1)}
@@ -226,14 +225,17 @@ def _check_ring(cls, da, db, s, n, add, one_key):
         (s - a, _ref_add({one_key: s}, ra, -1)),
         (a ** n, power),
         (acc, _ref_add(ra, _ref_scale(rb, s))),
-        (linear_combination([(s, a), (frac(-3, 2), b), (0, a)]),
-         _ref_add(_ref_scale(ra, s), _ref_scale(rb, frac(-3, 2)))),
     ]
     factor = frac(-5, 3)
     checks.append((a.map_terms(lambda k: (add(k, k), factor)), {add(k, k): v * factor for k, v in ra.items()}))
     if ra:  # the combination of no terms is the zero Laurent2 whatever cls is
         # sending the monomial of exponent k to b times that monomial gives a * b
         checks.append((a.combine(lambda k: cls({add(k, kb): v for kb, v in db.items()})), _ref_mul(ra, rb, add)))
+    # s * a - 3/2 * b, as the image of a two-term weight vector
+    other_key = 1 if cls is Laurent1 else (0, 1)
+    elements = {one_key: a, other_key: b}
+    weights = cls({one_key: s, other_key: frac(-3, 2)})
+    checks.append((weights.combine(elements.__getitem__), _ref_add(_ref_scale(ra, s), _ref_scale(rb, frac(-3, 2)))))
     for p, ref in checks:
         _assert_canonical(p)
         assert type(p) is cls and dict(p.c) == ref and p == cls(ref)
@@ -286,6 +288,25 @@ def test_laurent_evaluate_on_node_array():
     for k in range(len(z)):
         scalar = p.evaluate(complex(u[k]), complex(v[k]))
         assert abs(vals[k] - scalar) <= 1e-14 * max(abs(scalar), 1.0)
+
+
+def test_pair_is_its_exponent_tuple():
+    lam = Pair(-1, 2)
+    assert lam == (-1, 2) and hash(lam) == hash((-1, 2))
+    assert isinstance(lam, tuple) and (lam.l1, lam.l2) == (-1, 2)
+    assert str(lam) == "-1,2" and f"{lam}" == "-1,2" and f"[{lam}]" == "[-1,2]"
+    for protocol in (pickle.DEFAULT_PROTOCOL, 2):
+        back = pickle.loads(pickle.dumps(lam, protocol=protocol))
+        assert type(back) is Pair and back == lam and back.width == 3
+    for bad in ((1.0, 2), (0, "2"), (None, 1)):
+        with pytest.raises(TypeError, match="Pair components must be integers"):
+            Pair(*bad)
+    with pytest.raises(ValueError, match=r"Pair requires l1 <= l2, got \(2,0\)"):
+        Pair(2, 0)
+    with pytest.raises(ValueError, match="label pair 'l1,l2' expected"):
+        Pair.parse("1;2")
+    for a, b in ((-1, 2), (0, 0), (3, 5)):
+        assert Laurent2({Pair(a, b): frac(-7, 3)}).coeff(a, b) == frac(-7, 3)
 
 
 def test_pair_basics():

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from qsov import macdonald, qpoly, sov, suites
-from qsov.exact import Pair, QContext, frac, rational_str
+from qsov.exact import QContext, frac, rational_str
 
 GOLDEN = Path(__file__).resolve().parent / "golden_exact.json"
 
@@ -39,8 +39,6 @@ CQ_NMAX = 6
 
 def _key(k):
     """A monomial or label as a sortable list of ints."""
-    if isinstance(k, Pair):
-        return [k.l1, k.l2]
     if isinstance(k, tuple):
         return list(k)
     return [k]

@@ -270,7 +270,7 @@ def test_separating_integral_matches_algebra():
         yp = t * cmath.exp(-1j * (th1 + th2))
         for nu in (Pair(0, 1), Pair(-1, 1)):
             pol = sov.basis("p", nu, ctx)
-            val = nk.apply_M_xi_numeric(pol, ctx.g, q, xi, y1, y2, yp)
+            val = nk.apply_M_xi_numeric(pol, ctx.g, q, xi, y1, yp)
             ref = complex(sov.basis("pt", nu, ctx).evaluate(y1, y2)) * float(
                 sov.mu_p(nu, ctx)
             )
@@ -284,10 +284,10 @@ def test_separating_integral_on_a_sequence_matches_single_calls():
     y1, y2 = t * cmath.exp(-2j * th1), t * cmath.exp(-2j * th2)
     yp = t * cmath.exp(-1j * (th1 + th2))
     pols = [sov.basis("p", nu, ctx) for nu in (Pair(0, 0), Pair(0, 1), Pair(-1, 1), Pair(0, 2))]
-    many = nk.apply_M_xi_numeric(pols, ctx.g, q, xi, y1, y2, yp)
+    many = nk.apply_M_xi_numeric(pols, ctx.g, q, xi, y1, yp)
     assert isinstance(many, list) and len(many) == len(pols)
     for pol, val in zip(pols, many):
-        single = nk.apply_M_xi_numeric(pol, ctx.g, q, xi, y1, y2, yp)
+        single = nk.apply_M_xi_numeric(pol, ctx.g, q, xi, y1, yp)
         assert isinstance(single, complex)
         assert val == single
 
@@ -414,8 +414,8 @@ def test_node_grid_kernels_reflect_q_products(monkeypatch):
     calls.clear()
     ctx = QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
     q, t = float(ctx.q), float(ctx.t)
-    y1, y2, yp = t * cmath.exp(-0.6j), t * cmath.exp(-1.1j), t * cmath.exp(-0.85j)
-    nk.apply_M_xi_numeric(sov.basis("p", Pair(0, 1), ctx), ctx.g, q, 1.5, y1, y2, yp)
+    y1, yp = t * cmath.exp(-0.6j), t * cmath.exp(-0.85j)
+    nk.apply_M_xi_numeric(sov.basis("p", Pair(0, 1), ctx), ctx.g, q, 1.5, y1, yp)
     assert 0 < len(calls) <= 5
     # the common numerator is shared by a list of weights
     calls.clear()

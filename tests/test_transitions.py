@@ -243,47 +243,71 @@ def test_cold_cache_tilded_first_two_contexts(cold_rows):
         assert got == want, (kind, ctx, lam, method)
 
 
+def _kept(before: list, after) -> bool:
+    """True when every entry of before is still in after, at its index, as the same object."""
+    return len(after) >= len(before) and all(a is b for a, b in zip(before, after))
+
+
 def test_transitions_suite_builds_each_table_entry_once(monkeypatch):
-    """Cold tables: every table entry and every phi_width is built at most once, and all are built."""
+    """Cold tables: every table entry and every phi_width is built at most once, and all are built.
+
+    Each grower must also leave the entries it had before a call in place, as
+    the same objects: a grower that rebuilt them would make each entry once
+    per call while every count below still saw it made once.
+    """
     exact.clear_tables()
+    rebuilt = []  # (grower, argument) of every call that replaced an earlier entry
     built = []  # (base, n) of every Pochhammer entry made
     extend = exact._PochArray._extend
 
     def counting_extend(arr, n):
         side = arr._up if n >= 0 else arr._down
         before = len(side)
+        up, down = list(arr._up), list(arr._down)
         try:
             extend(arr, n)
         finally:
             sign = 1 if n >= 0 else -1
             built.extend((arr.a, sign * k) for k in range(before, len(side)))
+            if not (_kept(up, arr._up) and _kept(down, arr._down)):
+                rebuilt.append(("poch", arr.a, n))
 
     int_built = []  # (e, n) of every integer Pochhammer entry (s^e; q)_n made
     int_extend = exact._IntPochArray._extend
 
     def counting_int_extend(arr, n):
-        before = len(arr._up)
+        up = list(arr._up)
         try:
             int_extend(arr, n)
         finally:
-            int_built.extend((arr.e, k) for k in range(before, len(arr._up)))
+            int_built.extend((arr.e, k) for k in range(len(up), len(arr._up)))
+            if not _kept(up, arr._up):
+                rebuilt.append(("ipoch", arr.e, n))
 
     powers = []  # m of every (a^m, b^m) power made
     extend_ipow = exact.ContextTables._extend_ipow
 
     def counting_extend_ipow(tab, m):
-        before = len(tab._ipowers)
+        old = list(tab._ipowers)
         try:
             extend_ipow(tab, m)
         finally:
-            powers.extend(range(before, len(tab._ipowers)))
+            powers.extend(range(len(old), len(tab._ipowers)))
+            if not _kept(old, tab._ipowers):
+                rebuilt.append(("ipow", m))
 
     widths = []
     factor = macdonald._separated_factor
 
     def counting_factor(n, ctx):
         widths.append((ctx, n))
-        return factor(n, ctx)
+        stored = dict(exact.tables(ctx).separated)
+        try:
+            return factor(n, ctx)
+        finally:
+            now = exact.tables(ctx).separated
+            if any(now.get(k) is not v for k, v in stored.items()):
+                rebuilt.append(("phi", n))
 
     direct = []
 
@@ -303,6 +327,7 @@ def test_transitions_suite_builds_each_table_entry_once(monkeypatch):
     finally:
         exact.clear_tables()
     assert report["status"] == "pass"
+    assert rebuilt == []
     assert len(built) == len(set(built)) and len(widths) == len(set(widths))
     assert len(int_built) == len(set(int_built)) and len(powers) == len(set(powers))
     # not vacuous: the bases of the context and every width up to 6 were built.  The

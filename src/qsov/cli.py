@@ -62,8 +62,13 @@ def _emit(payload, args) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+    _write(text, args.out)
+
+
+def _write(text: str, out) -> None:
+    """Write text to the file out, or to stdout when out is None."""
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -143,11 +148,7 @@ def cmd_verify(args, grid: dict) -> int:
             f" {report['elapsed_ms']} ms"
         )
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0 if report["status"] == "pass" else 1
 
 

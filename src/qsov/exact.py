@@ -172,14 +172,6 @@ class QContext:
     def __reduce__(self):
         return (QContext, (self.s, self.g, self.xi))
 
-    def qh(self, m: int):
-        """q^(m/2) = s^m for any integer m."""
-        return tables(self).spow(m)
-
-    def th(self, m: int):
-        """t^(m/2) = s^(g*m) for any integer m."""
-        return tables(self).spow(self.g * m)
-
     def label(self) -> str:
         return f"s={rational_str(self.s)},g={self.g},xi={rational_str(self.xi)}"
 
@@ -224,53 +216,12 @@ def qbinomial(n: int, k: int, qbase):
 # Per-context tables
 # ---------------------------------------------------------------------------
 
-class _PochArray:
-    """(a; q)_n of one base a for every int n, grown one factor per new entry.
-
-    arr[n] equals qpochhammer(a, q, n), the reciprocal convention included,
-    and raises the same PoleError where that has a pole.
-    """
-
-    __slots__ = ("a", "_qpow", "_up", "_down")
-
-    def __init__(self, a, qpow):
-        self.a = a
-        self._qpow = qpow
-        self._up = [ONE]  # _up[n] = (a; q)_n
-        self._down = [ONE]  # _down[n] = (a; q)_-n
-
-    def __getitem__(self, n: int):
-        if n >= 0:
-            if n >= len(self._up):
-                self._extend(n)
-            return self._up[n]
-        if -n >= len(self._down):
-            self._extend(n)
-        return self._down[-n]
-
-    def _extend(self, n: int) -> None:
-        """Grow the side of n up to index |n|."""
-        a, qpow = self.a, self._qpow
-        if n >= 0:
-            up = self._up
-            for k in range(len(up) - 1, n):
-                up.append(up[k] * (ONE - a * qpow(k)))
-            return
-        down = self._down
-        for k in range(len(down), 1 - n):
-            factor = ONE - a * qpow(-k)
-            if factor == 0:
-                raise PoleError(f"(a;q)_{n} pole: a*q^-{k} = 1 for a={a}, q={qpow(1)}")
-            down.append(down[k - 1] / factor)
-
-
 class _IntPochArray:
     """(s^e; q)_n of one base s^e (e > 0) for every n >= 0, as an int pair.
 
     arr[n] is (N, D), the product of the pairs one_minus(e + 2k) for k < n,
     unreduced, so N / D equals qpochhammer(s^e, q, n); one factor per new
-    entry, as in _PochArray.  Only closed transition entries read these, and
-    every index they read is nonnegative.
+    entry.  Readers multiply entries as pairs and reduce once, with _ratio.
     """
 
     __slots__ = ("e", "_one_minus", "_up")
@@ -296,20 +247,30 @@ class _IntPochArray:
             up.append((pn * fn, pd * fd))
 
 
+def _times(n, d, up, down) -> tuple:
+    """(n / d) * prod(up) / prod(down) for int pairs up and down, as one unreduced int pair."""
+    for x, y in up:
+        n, d = n * x, d * y
+    for x, y in down:
+        n, d = n * y, d * x
+    return n, d
+
+
+def _ratio(up, down):
+    """prod(up) / prod(down) for int pairs up and down, as one scalar reduced once."""
+    return frac(*_times(1, 1, up, down))
+
+
 class ContextTables:
     """What the exact layer memoizes for one context, indexed by int where it can be.
 
     spow(m) is s^m for any int m, and qpow(k), tpow(k) are q^k and t^k from
-    it.  poch_q, poch_t and poch_tt are the (a; q)_n arrays of a = q, t and
-    t^2, and pochhammer(a) is the array of any base a (equal bases share one
-    array).
-
-    The integer primitives serve the transition rows, and nothing else grows
-    them.  With s = a/b in lowest terms, ipow(e) is s^e as the int pair
+    it.  With s = a/b in lowest terms, ipow(e) is s^e as the int pair
     (a^e, b^e) (swapped for e < 0), one_minus(e) is 1 - s^e as an int pair
-    and xipow(k) is xi^k as one; ipoch_q, ipoch_t and ipoch_tq are the
-    _IntPochArray arrays of q, t and t q.  Every int pair has a positive
-    denominator and is not reduced.
+    and xipow(k) is xi^k as one.  ipoch_q, ipoch_t, ipoch_tq and ipoch_tt are
+    the _IntPochArray arrays of q, t, t q and t^2, one array per base (at
+    g = 1, t is q and t q is t^2).  Every int pair has a positive denominator
+    and is not reduced.
 
     The dicts are filled by the modules named: factors (sov: per-width basis
     factors by tag), multipliers (sov: (exponent, width) -> eigen-multiplier),
@@ -322,17 +283,13 @@ class ContextTables:
         self.ctx = ctx
         self._up = [ONE]  # _up[m] = s^m
         self._down = [ONE]  # _down[m] = s^-m
-        self._arrays = {}
-        self.poch_q = self.pochhammer(ctx.q)
-        self.poch_t = self.pochhammer(ctx.t)
-        self.poch_tt = self.pochhammer(ctx.t ** 2)
         self._ab = _ints(ctx.s)
         self._ipowers = [(1, 1)]  # _ipowers[m] = (a^m, b^m)
         self._xi = _ints(ctx.xi)
         g = ctx.g
-        self.ipoch_q = _IntPochArray(2, self.one_minus)
-        self.ipoch_t = _IntPochArray(2 * g, self.one_minus)
-        self.ipoch_tq = _IntPochArray(2 * g + 2, self.one_minus)
+        exps = (2, 2 * g, 2 * g + 2, 4 * g)
+        arrays = {e: _IntPochArray(e, self.one_minus) for e in exps}
+        self.ipoch_q, self.ipoch_t, self.ipoch_tq, self.ipoch_tt = (arrays[e] for e in exps)
         self.factors = {}
         self.multipliers = {}
         self.rows = {}
@@ -356,14 +313,6 @@ class ContextTables:
     def tpow(self, k: int):
         """t^k for any int k."""
         return self.spow(2 * self.ctx.g * k)
-
-    def pochhammer(self, a) -> _PochArray:
-        """The (a; q)_n array of base a, made on first use."""
-        a = as_rational(a)
-        arr = self._arrays.get(a)
-        if arr is None:
-            arr = self._arrays[a] = _PochArray(a, self.qpow)
-        return arr
 
     def ipow(self, e: int) -> tuple:
         """s^e as an int pair for any int e."""

@@ -18,6 +18,7 @@ from .exact import (
     Pair,
     QContext,
     ZERO,
+    _ratio,
     divide_exact,
     tables,
 )
@@ -32,9 +33,9 @@ class Spectrum:
 
 
 def spectrum(lam: Pair, ctx: QContext) -> Spectrum:
-    qpow = tables(ctx).qpow
-    h1 = ctx.th(-1) * qpow(lam.l1) + ctx.th(1) * qpow(lam.l2)
-    h2 = qpow(lam.total)
+    tab, g = tables(ctx), ctx.g
+    h1 = tab.spow(-g) * tab.qpow(lam.l1) + tab.spow(g) * tab.qpow(lam.l2)
+    h2 = tab.qpow(lam.total)
     return Spectrum(h1=h1, h2=h2)
 
 
@@ -60,9 +61,9 @@ def monomial(lam: Pair) -> Laurent2:
 def u_coeff(lam: Pair, nu: Pair, ctx: QContext):
     """Expansion coefficient of m_nu in P_lam (nu inside lam, same total)."""
     tab = tables(ctx)
-    pq, pt = tab.poch_q, tab.poch_t
+    pq, pt = tab.ipoch_q, tab.ipoch_t
     w, a, b = lam.width, nu.l1 - lam.l1, lam.l2 - nu.l1
-    return pq[w] / pt[w] * pt[a] / pq[a] * pt[b] / pq[b]
+    return _ratio((pq[w], pt[a], pt[b]), (pt[w], pq[a], pq[b]))
 
 
 def macdonald_poly(lam: Pair, ctx: QContext) -> MacdonaldPoly:

@@ -11,7 +11,7 @@ recurrence.
 from __future__ import annotations
 
 from .errors import IdentityViolation
-from .exact import Laurent1, Laurent2, ONE, QContext, as_rational, tables
+from .exact import Laurent1, Laurent2, ONE, QContext, _ratio, as_rational, qpochhammer, tables
 
 
 def cq_sum(n: int, beta, ctx: QContext) -> Laurent1:
@@ -30,12 +30,12 @@ def cq_sum(n: int, beta, ctx: QContext) -> Laurent1:
 def _series_ratios(n: int, beta, q) -> list:
     """r_k = (beta;q)_k / (q;q)_k for k = 0..n."""
     ratios = [ONE]
-    poch_b = ONE
-    poch_q = ONE
+    num = ONE
+    den = ONE
     for k in range(1, n + 1):
-        poch_b *= ONE - beta * q ** (k - 1)
-        poch_q *= ONE - q ** k
-        ratios.append(poch_b / poch_q)
+        num *= ONE - beta * q ** (k - 1)
+        den *= ONE - q ** k
+        ratios.append(num / den)
     return ratios
 
 
@@ -87,8 +87,7 @@ def generating_function_check(N: int, beta, ctx: QContext) -> bool:
 
 def leading_coefficient(n: int, beta, ctx: QContext):
     """Coefficient of w^n in C_n: (beta;q)_n/(q;q)_n."""
-    tab = tables(ctx)
-    return tab.pochhammer(beta)[n] / tab.poch_q[n]
+    return qpochhammer(beta, ctx.q, n) / qpochhammer(ctx.q, ctx.q, n)
 
 
 def cq_to_onevariable(lam, ctx: QContext) -> Laurent1:
@@ -100,7 +99,7 @@ def cq_to_onevariable(lam, ctx: QContext) -> Laurent1:
     n = lam.width
     tab = tables(ctx)
     c = cq_sum(n, ctx.t, ctx)
-    scale = tab.poch_q[n] / tab.poch_t[n]
+    scale = _ratio((tab.ipoch_q[n],), (tab.ipoch_t[n],))
     out = Laurent1()
     for k in range(n + 1):
         ck = c.coeff(n - 2 * k)

@@ -25,6 +25,8 @@ from .exact import (
     Pair,
     QContext,
     ZERO,
+    _ratio,
+    _times,
     divide_exact,
     frac,
     pairs_under,
@@ -162,9 +164,8 @@ def _multiplier(e: int, m: int, ctx: QContext):
     tab = tables(ctx)
     value = tab.multipliers.get((e, m))
     if value is None:
-        value = tab.multipliers[(e, m)] = (
-            tab.tpow(-e) * ctx.xi ** (2 * e) * tab.poch_t[m] / tab.poch_tt[m]
-        )
+        up = (tab.ipow(-2 * ctx.g * e), tab.xipow(2 * e), tab.ipoch_t[m])
+        value = tab.multipliers[(e, m)] = _ratio(up, (tab.ipoch_tt[m],))
     return value
 
 
@@ -216,15 +217,15 @@ def apply_M_inverse_qdiff(p: Laurent2, ctx: QContext) -> Laurent2:
     """
     g = ctx.g
     tab = tables(ctx)
-    qpow, poch_q = tab.qpow, tab.poch_q
+    qpow, pq = tab.qpow, tab.ipoch_q
     xi_inv, t_xi = ONE / ctx.xi, ctx.t * ctx.xi
-    denom = Laurent2({(0, 0): tab.poch_t[g]})
+    denom = Laurent2({(0, 0): frac(*tab.ipoch_t[g])})
     for j in range(-g, g + 1):
         denom = denom * _linear(qpow(j), -1, 1)
     accum = Laurent2()
     for k in range(g + 1):
-        # the Gaussian binomial [g over k]_q from the (q; q)_n array
-        coef = (-ONE) ** k * tab.spow(-k * (k - 1)) * (poch_q[g] / (poch_q[k] * poch_q[g - k]))
+        # (-1)^k s^(-k(k-1)) times the Gaussian binomial [g over k]_q from the (q; q)_n array
+        coef = _ratio((((-1) ** k, 1), tab.ipow(-k * (k - 1)), pq[g]), (pq[k], pq[g - k]))
         nk = Laurent2.term(-k, k, coef)
         nk = nk * _linear(qpow(g - 2 * k), -1, 1)
         for i in range(k):
@@ -273,15 +274,15 @@ def separate(lam: Pair, ctx: QContext) -> SeparatingImage:
 def jacobian_coeffs(nu: Pair, j: int, ctx: QContext):
     """(a, b, c) with H_j r_nu = a r_nu + b r_(nu1+1,nu2) + c r_(nu1,nu2-1)."""
     tab = tables(ctx)
-    qpow, xi = tab.qpow, ctx.xi
+    spow, qpow, xi, g = tab.spow, tab.qpow, ctx.xi, ctx.g
     m = nu.width
     if j == 1:
-        a = ctx.th(-1) * qpow(nu.l1) + ctx.th(1) * qpow(nu.l2)
-        b = -ctx.th(-1) * qpow(nu.l1) * (ONE - qpow(m))
-        c = ctx.th(5) * xi ** 2 * qpow(-nu.l1 + 2 * nu.l2 - 2) * (ONE - qpow(m))
+        a = macdonald.spectrum(nu, ctx).h1
+        b = -spow(-g) * qpow(nu.l1) * (ONE - qpow(m))
+        c = spow(5 * g) * xi ** 2 * qpow(-nu.l1 + 2 * nu.l2 - 2) * (ONE - qpow(m))
     elif j == 2:
-        a = qpow(nu.total)
-        b = -qpow(nu.total) * (ONE - qpow(m))
+        a = macdonald.spectrum(nu, ctx).h2
+        b = -a * (ONE - qpow(m))
         c = tab.tpow(2) * xi ** 2 * qpow(2 * nu.l2 - 2) * (ONE - qpow(m))
     else:
         raise ValueError("j must be 1 or 2")
@@ -354,15 +355,6 @@ def check_quantum_char_eq(nu: Pair, j: int, ctx: QContext) -> bool:
 # Transition matrices: closed forms and recurrences
 # ---------------------------------------------------------------------------
 
-def _times(n, d, up, down) -> tuple:
-    """(n / d) * prod(up) / prod(down) for int pairs up and down, as one unreduced int pair."""
-    for x, y in up:
-        n, d = n * x, d * y
-    for x, y in down:
-        n, d = n * y, d * x
-    return n, d
-
-
 def _closed_entry(base: str, lam: Pair, nu: Pair, ctx: QContext):
     """Product formula for the (lam, nu) entry of the rho, pi, R or Q matrix.
 
@@ -396,18 +388,17 @@ def _closed_entry(base: str, lam: Pair, nu: Pair, ctx: QContext):
     else:
         k = 2 * lam.l1 - nu.total  # xi^k
         expo = 2 * lam.l1 ** 2 - 2 * (nu.total - 1) * lam.l1 - nu.total + squares
-    n, d = _times(*tab.ipow(expo), (tab.xipow(k),) + num, den)
-    return frac(-n if m % 2 else n, d)
+    return _ratio((((-1) ** m, 1), tab.ipow(expo), tab.xipow(k)) + num, den)
 
 
 def rho_diagonal(lam: Pair, ctx: QContext):
     m = lam.width
-    return (-ONE) ** m * ctx.qh(-m * (m - 1)) * (ctx.t * ctx.xi) ** (-m)
+    return (-ONE) ** m * tables(ctx).spow(-m * (m - 1)) * (ctx.t * ctx.xi) ** (-m)
 
 
 def R_diagonal(lam: Pair, ctx: QContext):
     m = lam.width
-    return (-ONE) ** m * ctx.qh(m * (m - 1)) * (ctx.t * ctx.xi) ** m
+    return (-ONE) ** m * tables(ctx).spow(m * (m - 1)) * (ctx.t * ctx.xi) ** m
 
 
 def _ladder_primitives(ctx: QContext) -> tuple:

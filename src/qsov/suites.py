@@ -19,6 +19,7 @@ from .exact import (
     Laurent2,
     Pair,
     QContext,
+    _ratio,
     frac,
     pairs_under,
     random_symmetric,
@@ -114,7 +115,7 @@ def case_factorized_form(ctx: QContext, lam: Pair):
         w = lam.width
         c = qpoly.cq_sum(w, ctx.t, ctx)
         tab = tables(ctx)
-        scale = tab.poch_q[w] / tab.poch_t[w]
+        scale = _ratio((tab.ipoch_q[w],), (tab.ipoch_t[w],))
         half = lam.total // 2
         build = Laurent2()
         for k in range(w + 1):

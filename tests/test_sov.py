@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsov import exact, macdonald, sov
-from qsov.errors import PoleError
 from qsov.exact import Laurent2, Pair, QContext, frac, qpochhammer, random_symmetric, tables
 
 CTX = QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
@@ -232,13 +231,6 @@ def off_grid_contexts(draw):
     return QContext(s=s, g=draw(st.integers(1, 5)), xi=xi)
 
 
-def _poch_or_pole(fn, *args):
-    try:
-        return fn(*args)
-    except PoleError:
-        return PoleError
-
-
 #: Contexts where a sign or inversion slip hides: xi = -1, t xi^2 = 1 (xi = s^-g),
 #: xi = 1/t, xi = q, and s close to 1.
 SPOT_CONTEXTS = [
@@ -281,28 +273,22 @@ def _int_pair_value(pair):
 def test_context_tables_match_direct_formulas(ctx):
     tab = tables(ctx)
     bases = {
-        "q": (tab.poch_q, ctx.q),
-        "t": (tab.poch_t, ctx.t),
-        "tq": (tab.pochhammer(ctx.t * ctx.q), ctx.t * ctx.q),
-        "tt": (tab.poch_tt, ctx.t ** 2),
+        "q": (tab.ipoch_q, ctx.q),
+        "t": (tab.ipoch_t, ctx.t),
+        "tq": (tab.ipoch_tq, ctx.t * ctx.q),
+        "tt": (tab.ipoch_tt, ctx.t ** 2),
     }
-    # both directions of growth, in an order that skips ahead and comes back
-    indices = [0, 8, -8, 3, -1, 1, -5, 7, 2, -2, -7, 4, -3, 6, -6, 5, -4]
+    # one array per base: at g = 1, t is q and t q is t^2
+    assert (tab.ipoch_t is tab.ipoch_q) == (tab.ipoch_tt is tab.ipoch_tq) == (ctx.g == 1)
+    # growth in an order that skips ahead and comes back
     for name, (arr, a) in bases.items():
-        assert tab.pochhammer(a) is arr, name
-        for n in indices:
-            expected = _poch_or_pole(qpochhammer, a, ctx.q, n)
-            assert _poch_or_pole(arr.__getitem__, n) == expected, (name, n)
-    int_bases = {"q": (tab.ipoch_q, ctx.q), "t": (tab.ipoch_t, ctx.t), "tq": (tab.ipoch_tq, ctx.t * ctx.q)}
-    for name, (arr, a) in int_bases.items():
-        for n in (n for n in indices if n >= 0):
+        for n in (0, 8, 3, 1, 7, 2, 4, 6, 5):
             assert _int_pair_value(arr[n]) == qpochhammer(a, ctx.q, n), (name, n)
         with pytest.raises(ValueError):
             arr[-1]
-    for m in indices:
+    for m in (0, 8, -8, 3, -1, 1, -5, 7, 2, -2, -7, 4, -3, 6, -6, 5, -4):
         assert tab.spow(m) == ctx.s ** m, m
         assert tab.qpow(m) == ctx.q ** m and tab.tpow(m) == ctx.t ** m, m
-        assert ctx.qh(m) == ctx.s ** m and ctx.th(m) == ctx.s ** (ctx.g * m), m
         assert _int_pair_value(tab.ipow(m)) == ctx.s ** m, m
         assert _int_pair_value(tab.one_minus(m)) == 1 - ctx.s ** m, m
         assert _int_pair_value(tab.xipow(m)) == ctx.xi ** m, m
@@ -377,6 +363,27 @@ wide_labels = st.builds(
 def test_basis_is_shifted_width_factor(ctx, nu):
     for tag in sov.BASIS_TAGS:
         assert _same_terms(sov.basis(tag, nu, ctx), _direct_basis(tag, nu, ctx))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ctx=off_grid_contexts(), lam=wide_labels)
+@_spot_examples(lam=Pair(-2, 4))
+def test_pochhammer_ratios_match_qpochhammer_off_grid(ctx, lam):
+    """u_coeff and the multipliers, products of the int arrays, against qpochhammer formulas."""
+    q, t, w = ctx.q, ctx.t, lam.width
+
+    def poch(a, n):
+        return qpochhammer(a, q, n)
+
+    for nu1 in range(lam.l1, lam.total // 2 + 1):
+        nu = Pair(nu1, lam.total - nu1)
+        a, b = nu.l1 - lam.l1, lam.l2 - nu.l1
+        expected = poch(q, w) / poch(t, w) * poch(t, a) / poch(q, a) * poch(t, b) / poch(q, b)
+        assert macdonald.u_coeff(lam, nu, ctx) == expected, nu
+    for e in range(lam.l1, lam.l2 + 1):
+        for m in range(w + 1):
+            expected = t ** -e * ctx.xi ** (2 * e) * poch(t, m) / poch(t ** 2, m)
+            assert sov._multiplier(e, m, ctx) == expected, (e, m)
 
 
 def test_basis_cold_cache_any_order():

@@ -21,9 +21,9 @@ def test_diagonal_entries():
         for lam in LABELS:
             m = lam.width
             rho = _entries(sov.transition_row("rho", lam, ctx))[lam]
-            assert rho == (-1) ** m * ctx.qh(-m * (m - 1)) * (ctx.t * ctx.xi) ** (-m)
+            assert rho == (-1) ** m * ctx.s ** (-m * (m - 1)) * (ctx.t * ctx.xi) ** (-m)
             R = _entries(sov.transition_row("R", lam, ctx))[lam]
-            assert R == (-1) ** m * ctx.qh(m * (m - 1)) * (ctx.t * ctx.xi) ** m
+            assert R == (-1) ** m * ctx.s ** (m * (m - 1)) * (ctx.t * ctx.xi) ** m
             assert rho * R == 1
 
 
@@ -257,21 +257,6 @@ def test_transitions_suite_builds_each_table_entry_once(monkeypatch):
     """
     exact.clear_tables()
     rebuilt = []  # (grower, argument) of every call that replaced an earlier entry
-    built = []  # (base, n) of every Pochhammer entry made
-    extend = exact._PochArray._extend
-
-    def counting_extend(arr, n):
-        side = arr._up if n >= 0 else arr._down
-        before = len(side)
-        up, down = list(arr._up), list(arr._down)
-        try:
-            extend(arr, n)
-        finally:
-            sign = 1 if n >= 0 else -1
-            built.extend((arr.a, sign * k) for k in range(before, len(side)))
-            if not (_kept(up, arr._up) and _kept(down, arr._down)):
-                rebuilt.append(("poch", arr.a, n))
-
     int_built = []  # (e, n) of every integer Pochhammer entry (s^e; q)_n made
     int_extend = exact._IntPochArray._extend
 
@@ -315,7 +300,6 @@ def test_transitions_suite_builds_each_table_entry_once(monkeypatch):
         direct.append(args)
         return qpochhammer(*args)
 
-    monkeypatch.setattr(exact._PochArray, "_extend", counting_extend)
     monkeypatch.setattr(exact._IntPochArray, "_extend", counting_int_extend)
     monkeypatch.setattr(exact.ContextTables, "_extend_ipow", counting_extend_ipow)
     monkeypatch.setattr(macdonald, "_separated_factor", counting_factor)
@@ -328,19 +312,17 @@ def test_transitions_suite_builds_each_table_entry_once(monkeypatch):
         exact.clear_tables()
     assert report["status"] == "pass"
     assert rebuilt == []
-    assert len(built) == len(set(built)) and len(widths) == len(set(widths))
     assert len(int_built) == len(set(int_built)) and len(powers) == len(set(powers))
-    # not vacuous: the bases of the context and every width up to 6 were built.  The
-    # closed entries read (t q; q)_n from the integer table, so the scalar array of t q
-    # is no longer built here; q and t are (multipliers, P_lam), and t^2 (multipliers)
-    ctx = QContext(s=frac(1, 2), g=2, xi=frac(3, 2))
-    assert {a for a, _ in built} == {ctx.q, ctx.t, ctx.t ** 2}
-    # q = s^2, t = s^4 and t q = s^6, each up to n = 6 (the widest label of lmax = 3),
-    # and every power s^m their factors 1 - s^m need, up to (t q; q)_6's last one, s^16
-    for e in (2, 4, 6):
+    assert len(widths) == len(set(widths))
+    # not vacuous: every base of the context and every width up to 6 were built.  With
+    # g = 2 the bases q = s^2, t = s^4, t q = s^6 and t^2 = s^8 are the exponents
+    # {2, 2g, 2g + 2, 4g}, each up to n = 6 (the widest label of lmax = 3), and every
+    # power s^m their factors 1 - s^m need, up to (t^2; q)_6's last one, s^18
+    g = 2
+    assert {base for base, _ in int_built} == {2, 2 * g, 2 * g + 2, 4 * g}
+    for e in (2, 2 * g, 2 * g + 2, 4 * g):
         assert sorted(n for base, n in int_built if base == e) == list(range(1, 7)), e
-    assert {base for base, _ in int_built} == {2, 4, 6}
-    assert set(range(1, 17)) <= set(powers)
+    assert set(range(1, 19)) <= set(powers)
     assert sorted(n for _, n in widths) == list(range(7))
     assert direct == []
 

@@ -4,10 +4,14 @@ Exact layer: q-Pochhammer calculus over rationals (q = s^2), the polynomial
 family P_lam, the separating operator with its inverse, eigenbases and
 transition matrices.  Numeric layer: unit-circle quadrature for the kernel
 identities, fractional integration, and the classical trigonometric
-two-particle model.
+two-particle model.  The numeric modules, numkernel and ruijsenaars, import
+numpy; they load on first use (qsov.numkernel, from qsov import ruijsenaars),
+so the exact layer and the command line start without numpy.
 """
 
-from . import exact, macdonald, numkernel, qpoly, ruijsenaars, sov, suites
+import importlib
+
+from . import exact, macdonald, qpoly, sov, suites
 from .exact import (
     Laurent1,
     Laurent2,
@@ -42,3 +46,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_NUMERIC_MODULES = ("numkernel", "ruijsenaars")
+
+
+def __getattr__(name):
+    if name in _NUMERIC_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

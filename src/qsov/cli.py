@@ -14,9 +14,10 @@ import json
 import os
 import sys
 
-from . import macdonald, numkernel, qpoly, sov, suites
+from . import macdonald, qpoly, sov, suites
 from .errors import QsovError
 from .exact import Pair, QContext, frac, rational_str
+from .numconfig import NumericConfig
 
 
 def _inputs(args) -> dict:
@@ -37,7 +38,7 @@ def _inputs(args) -> dict:
             "xi_values": tuple(args.xi) if args.xi else suites.DEFAULT_XI,
         }
         suites.default_contexts(**grid)
-        numkernel.NumericConfig(
+        NumericConfig(
             quad_points=args.quad_points, tol_tight=args.tol_tight, tol_loose=args.tol_loose
         )
         return grid

@@ -17,25 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContourUnsupported, ToleranceExceeded, TrendViolation
-
-
-@dataclass(frozen=True)
-class NumericConfig:
-    quad_points: int = 2048
-    prod_cutoff: float = 1e-16
-    tol_tight: float = 1e-10
-    tol_loose: float = 1e-6
-
-    def __post_init__(self):
-        if self.quad_points < 256:
-            raise ValueError("quad_points must be at least 256")
-        if not (0 < self.prod_cutoff <= 1e-14):
-            raise ValueError("prod_cutoff must lie in (0, 1e-14]")
-        for tol in (self.tol_tight, self.tol_loose):
-            # NaN and inf would pass every err > tol check
-            if not (0 < tol < math.inf):
-                raise ValueError("tolerances must be finite and positive")
-
+from .numconfig import NumericConfig
 
 DEFAULT_CONFIG = NumericConfig()
 
@@ -464,6 +446,24 @@ def cq_numeric(n: int, beta: float, q: float, x):
     return out if x.shape else complex(out)
 
 
+#: Node-grid weights shared by the checks that integrate against them, keyed by
+#: what determines each one; the oldest is dropped beyond _NODE_WEIGHTS_MAX.
+_node_weights: dict = {}
+_NODE_WEIGHTS_MAX = 16
+
+
+def _node_weight(key, build):
+    """The weight build() returns, built once per key and read-only."""
+    weight = _node_weights.get(key)
+    if weight is None:
+        weight = build()
+        weight.flags.writeable = False
+        if len(_node_weights) >= _NODE_WEIGHTS_MAX:
+            del _node_weights[next(iter(_node_weights))]
+        _node_weights[key] = weight
+    return weight
+
+
 def _weight_circle(x, beta: float, q: float, cfg: NumericConfig):
     """w(.; beta) continued off the circle: (x^2, x^-2;q)inf / (b x^2, b x^-2;q)inf."""
     x = np.asarray(x, dtype=complex)
@@ -504,13 +504,16 @@ def product_formula_check(n: int, theta: float, phi: float, q: float, beta: floa
     """Both sides of the integral product formula, by circle quadrature.
 
     The closed kernel's expansion over the polynomial family is checked on
-    its own by kernel_series_check.
+    its own by kernel_series_check.  The node-grid weight is built once per
+    (theta, phi, q, beta, cfg) for every n.
     """
     if not (0 < beta < 1):
         raise ContourUnsupported("the product kernel needs 0 < beta < 1")
     params, head = _product_kernel(theta, phi, q, beta, cfg)
     x = unit_nodes(cfg.quad_points)
-    [weight] = aw_weights_on_nodes(x, [params], q, cfg)
+    weight = _node_weight(
+        ("product", theta, phi, q, beta, cfg), lambda: next(aw_weights_on_nodes(x, [params], q, cfg))
+    )
     integral = 0.5 * head * np.mean(weight * cq_numeric(n, beta, q, x))
     lhs = cq_numeric(n, beta, q, cmath.exp(1j * theta)) * cq_numeric(
         n, beta, q, cmath.exp(1j * phi)
@@ -571,11 +574,13 @@ def orthogonality_check(m: int, n: int, q: float, beta: float,
     """Weighted circle average of C_m C_n against the closed norm.
 
     On the node grid the weight _weight_circle is the ratio of two
-    reflected q-products.
+    reflected q-products, built once per (q, beta, cfg) for every (m, n).
     """
     x = unit_nodes(cfg.quad_points)
-    x2 = x ** 2
-    weight = qprod_pair_nodes(1.0, x2, q, cfg) / qprod_pair_nodes(beta, x2, q, cfg)
+    weight = _node_weight(
+        ("orthogonality", q, beta, cfg),
+        lambda: qprod_pair_nodes(1.0, x ** 2, q, cfg) / qprod_pair_nodes(beta, x ** 2, q, cfg),
+    )
     vals = cq_numeric(m, beta, q, x) * cq_numeric(n, beta, q, x) * weight
     lhs = 0.5 * complex(np.mean(vals))
     if m != n:

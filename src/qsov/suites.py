@@ -3,7 +3,8 @@
 Each suite is a flat list of independent cases; a case runs a pure check
 function and records pass/fail with a residual or a witness message.  Case
 functions live at module level with picklable arguments so a worker pool
-can execute them.
+can execute them.  The numeric case functions import numkernel or ruijsenaars
+when they run, so the exact suites never load numpy.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ import cmath
 import math
 import random
 import time
-from multiprocessing import get_context
 
-from . import macdonald, numkernel as nk, qpoly, ruijsenaars as rj, sov
+from . import macdonald, qpoly, sov
 from .exact import (
     Laurent2,
     Pair,
@@ -25,6 +25,7 @@ from .exact import (
     random_symmetric,
     tables,
 )
+from .numconfig import NumericConfig
 
 SUITE_NAMES = ("qpoly", "macdonald", "sov", "transitions", "numkernel", "ruijsenaars")
 
@@ -282,7 +283,8 @@ def case_mutual_inverse(ctx: QContext, lam: Pair):
 # Numeric case functions
 # ---------------------------------------------------------------------------
 
-def case_aw_draws(q: float, draws: int, seed: int, cfg: nk.NumericConfig):
+def case_aw_draws(q: float, draws: int, seed: int, cfg: NumericConfig):
+    from . import numkernel as nk
     rng = random.Random(seed)
     params = [
         nk.AWParams(
@@ -296,7 +298,8 @@ def case_aw_draws(q: float, draws: int, seed: int, cfg: nk.NumericConfig):
     return nk.aw_integral_report(params, q, cfg)["max_err"]
 
 
-def case_aw_symmetry(cfg: nk.NumericConfig):
+def case_aw_symmetry(cfg: NumericConfig):
+    from . import numkernel as nk
     base = nk.AWParams(0.3, -0.2, 0.1j, 0.4)
     perm = nk.AWParams(0.4, 0.1j, -0.2, 0.3)
     v1 = nk.aw_integral(base, 0.25, cfg)
@@ -307,19 +310,22 @@ def case_aw_symmetry(cfg: nk.NumericConfig):
     return err
 
 
-def case_aw_convergence(cfg: nk.NumericConfig):
+def case_aw_convergence(cfg: NumericConfig):
+    from . import numkernel as nk
     rep = nk.aw_convergence_report(nk.AWParams(0.3, -0.2, 0.1j, 0.4), 0.25, cfg)
     return min(rep["ratios"])
 
 
-def case_actmr(cfg: nk.NumericConfig):
+def case_actmr(cfg: NumericConfig):
+    from . import numkernel as nk
     rep = nk.mab_eigenpoly_report(
         0.7, 1.1, cmath.exp(0.4j), cmath.exp(-0.9j), 0.25, 3, cfg
     )
     return rep["max_err"]
 
 
-def case_mxi_vs_exact(s: str, g: int, xi: str, cfg: nk.NumericConfig):
+def case_mxi_vs_exact(s: str, g: int, xi: str, cfg: NumericConfig):
+    from . import numkernel as nk
     ctx = QContext(s=frac(s), g=g, xi=frac(xi))
     qf, tf, xif = float(ctx.q), float(ctx.t), float(ctx.xi)
     angle_pairs = [
@@ -343,41 +349,49 @@ def case_mxi_vs_exact(s: str, g: int, xi: str, cfg: nk.NumericConfig):
     return worst
 
 
-def case_product_formula(n: int, theta: float, phi: float, cfg: nk.NumericConfig):
+def case_product_formula(n: int, theta: float, phi: float, cfg: NumericConfig):
+    from . import numkernel as nk
     return nk.product_formula_check(n, theta, phi, 0.25, 0.5, cfg)["err"]
 
 
-def case_kernel_series(cfg: nk.NumericConfig):
+def case_kernel_series(cfg: NumericConfig):
+    from . import numkernel as nk
     return nk.kernel_series_check(0.5, 0.9, 1.3, 0.25, 0.5, 40, cfg)["err"]
 
 
-def case_orthogonality(m: int, n: int, cfg: nk.NumericConfig):
+def case_orthogonality(m: int, n: int, cfg: NumericConfig):
+    from . import numkernel as nk
     return nk.orthogonality_check(m, n, 0.25, 0.5, cfg)["err"]
 
 
-def case_qdiff(n: int, cfg: nk.NumericConfig):
+def case_qdiff(n: int, cfg: NumericConfig):
+    from . import numkernel as nk
     return nk.qdiff_equation_check(n, 0.25, 0.5, (0.3, 0.8, 1.4), cfg)["err"]
 
 
-def case_I_power(alpha: float, nu: float, cfg: nk.NumericConfig):
+def case_I_power(alpha: float, nu: float, cfg: NumericConfig):
+    from . import numkernel as nk
     return nk.power_action_report(
         alpha, nu, cmath.exp(0.35j), cmath.exp(-1.1j), 0.25, cfg
     )["err"]
 
 
-def case_I_group(alpha: float, beta: float, cfg: nk.NumericConfig):
+def case_I_group(alpha: float, beta: float, cfg: NumericConfig):
+    from . import numkernel as nk
     ys = [cmath.exp(0.7j), cmath.exp(-2.1j), cmath.exp(1.9j)]
     return nk.group_property_report(alpha, beta, cmath.exp(0.35j), ys, 0.25, None, 512, cfg)[
         "err"
     ]
 
 
-def case_I_neg(g: int, cfg: nk.NumericConfig):
+def case_I_neg(g: int, cfg: NumericConfig):
+    from . import numkernel as nk
     ys = [cmath.exp(0.7j), cmath.exp(-2.1j), cmath.exp(1.9j)]
     return nk.neg_order_consistency_report(g, cmath.exp(0.35j), ys, 0.25, cfg)["err"]
 
 
-def case_classical(cfg: nk.NumericConfig):
+def case_classical(cfg: NumericConfig):
+    from . import numkernel as nk
     rep = nk.classical_limit_checks(cfg)
     return max(rep["poly_errors"][-1], 0.0)
 
@@ -404,7 +418,8 @@ RJ_GAUGE_TOL = 1e-10
 RJ_REDUCTION_TOL = 1e-8
 
 
-def case_rj_hermitian(seed: int, t: float, cfg: nk.NumericConfig):
+def case_rj_hermitian(seed: int, t: float, cfg: NumericConfig):
+    from . import ruijsenaars as rj
     rng = random.Random(seed)
     point = rj.hermitian_phase_point(rng, 3)
     H = rj.hamiltonians(point.x, point.Tx, t)
@@ -414,7 +429,8 @@ def case_rj_hermitian(seed: int, t: float, cfg: nk.NumericConfig):
     return worst
 
 
-def case_rj_charpoly(seed: int, t: float, cfg: nk.NumericConfig):
+def case_rj_charpoly(seed: int, t: float, cfg: NumericConfig):
+    from . import ruijsenaars as rj
     rng = random.Random(seed)
     worst = 0.0
     for n in (2, 3):
@@ -429,6 +445,7 @@ def case_rj_charpoly(seed: int, t: float, cfg: nk.NumericConfig):
 
 
 def case_rj_separation(seed: int, t: float, xi_re: float, xi_im: float):
+    from . import ruijsenaars as rj
     rng = random.Random(seed)
     xi = complex(xi_re, xi_im)
     point = rj.random_phase_point(rng, 2)
@@ -446,7 +463,8 @@ def case_rj_separation(seed: int, t: float, xi_re: float, xi_im: float):
     return worst
 
 
-def case_rj_involutivity(seed: int, t: float, cfg: nk.NumericConfig):
+def case_rj_involutivity(seed: int, t: float, cfg: NumericConfig):
+    from . import ruijsenaars as rj
     rng = random.Random(seed)
     point = rj.random_phase_point(rng, 2)
     res = rj.involutivity_residual(point.x, point.Tx, t)
@@ -456,6 +474,7 @@ def case_rj_involutivity(seed: int, t: float, cfg: nk.NumericConfig):
 
 
 def case_rj_canonicity(seed: int, t: float, xi_re: float, xi_im: float):
+    from . import ruijsenaars as rj
     rng = random.Random(seed)
     point = rj.random_phase_point(rng, 2)
     xi = complex(xi_re, xi_im)
@@ -465,6 +484,7 @@ def case_rj_canonicity(seed: int, t: float, xi_re: float, xi_im: float):
 
 
 def case_rj_genfunc(seed: int, t: float, xi_re: float):
+    from . import ruijsenaars as rj
     rng = random.Random(seed)
     point = rj.random_phase_point(rng, 2)
     rep = rj.generating_function_check(point.x, point.Tx, t, complex(xi_re),
@@ -473,6 +493,7 @@ def case_rj_genfunc(seed: int, t: float, xi_re: float):
 
 
 def case_rj_gauge(seed: int, q: float, t: float):
+    from . import ruijsenaars as rj
     rng = random.Random(seed)
     point = rj.random_phase_point(rng, 3)
     ytld = (0.3 * cmath.exp(0.5j), 0.45 * cmath.exp(-1.1j))
@@ -480,6 +501,7 @@ def case_rj_gauge(seed: int, q: float, t: float):
 
 
 def case_rj_reduction(seed: int, t: float):
+    from . import ruijsenaars as rj
     rng = random.Random(seed)
     point = rj.random_phase_point(rng, 3)
     return rj.reduction_map_report(
@@ -488,6 +510,7 @@ def case_rj_reduction(seed: int, t: float):
 
 
 def case_rj_dilog():
+    from . import ruijsenaars as rj
     worst = abs(rj.dilog(1.0) - math.pi ** 2 / 6.0)
     worst = max(worst, abs(rj.dilog(-1.0) + math.pi ** 2 / 12.0))
     z = 0.3
@@ -531,7 +554,11 @@ def _ctx_cases(ctxs, pairs, seed):
     return {"qpoly": qp, "macdonald": md, "sov": sv, "transitions": tr}
 
 
-def _numeric_cases(cfg: nk.NumericConfig, seed: int):
+def _numeric_cases(cfg: NumericConfig, seed: int):
+    # the case functions import numkernel when they run; importing it here
+    # lets the workers of a fork pool inherit it rather than compile it again
+    from . import numkernel  # noqa: F401
+
     cases = []
     for q in (0.2, 0.4):
         cases.append((f"aw-integral[q={q}]", "circle-integral", case_aw_draws, (q, 25, seed, cfg)))
@@ -563,7 +590,9 @@ def _numeric_cases(cfg: nk.NumericConfig, seed: int):
     return cases
 
 
-def _ruijsenaars_cases(cfg: nk.NumericConfig, seed: int, points: int = 20):
+def _ruijsenaars_cases(cfg: NumericConfig, seed: int, points: int = 20):
+    from . import ruijsenaars  # noqa: F401 - inherited by the workers, as in _numeric_cases
+
     t = 0.5
     cases = [("dilog", "dilogarithm-identities", case_rj_dilog, ())]
     xis = ((0.7, 0.0), (1.3, 0.2))
@@ -606,7 +635,7 @@ def run_suite(name: str, *, s_values=DEFAULT_S, g_values=DEFAULT_G, xi_values=DE
               tol_loose: float = 1e-6, seed: int = 0, workers: int = 1) -> dict:
     """Run one named suite (or 'all') over the requested grid."""
     start = time.perf_counter()
-    cfg = nk.NumericConfig(
+    cfg = NumericConfig(
         quad_points=quad_points, tol_tight=tol_tight, tol_loose=tol_loose
     )
     grid: dict = {"seed": seed}
@@ -636,6 +665,8 @@ def run_suite(name: str, *, s_values=DEFAULT_S, g_values=DEFAULT_G, xi_values=DE
         else:
             raise ValueError(f"unknown suite {n!r}")
     if workers > 1:
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(workers) as pool:
             results = pool.map(_run_one, cases, chunksize=16)
     else:

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -233,3 +236,108 @@ def test_ruijsenaars_bounds_follow_tolerance_flags(capsys):
     # charpoly and hermitian read tol_tight, involutivity tol_loose; the
     # separation, canonicity and dilog bounds are fixed and still pass
     assert {"charpoly", "involutivity"} <= failed <= {"charpoly", "involutivity", "hermitian"}
+
+
+#: Modules only a numeric suite or a numeric function may load.
+NUMERIC_ONLY = ("numpy", "qsov.numkernel", "qsov.ruijsenaars", "multiprocessing")
+
+
+def _fresh(code: str):
+    """Run code in a new interpreter; return what it prints as JSON."""
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_exact_commands_do_not_load_the_numeric_layer():
+    loaded = _fresh(
+        f"""
+        import contextlib, io, json, sys
+        numeric = {NUMERIC_ONLY!r}
+        seen = {{}}
+        def note(stage):
+            seen[stage] = [m for m in numeric if m in sys.modules]
+        import qsov
+        note("import qsov")
+        import qsov.cli
+        note("import qsov.cli")
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                qsov.cli.main(["verify", "qpoly", "--lmax", "1", "--json"]),
+                qsov.cli.main(["compute", "macdonald", "--lam=-1,2"]),
+            ]
+        note("exact commands")
+        seen["codes"] = codes
+        print(json.dumps(seen))
+        """
+    )
+    assert loaded == {
+        "import qsov": [], "import qsov.cli": [], "exact commands": [], "codes": [0, 0]
+    }
+
+
+@pytest.mark.parametrize("flag, value", [("--tol-tight", "nan"), ("--quad-points", "10")])
+def test_numeric_flags_are_checked_without_numpy(flag, value):
+    result = _fresh(
+        f"""
+        import contextlib, io, json, sys
+        import qsov.cli
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                qsov.cli.main(["verify", "qpoly", {flag!r}, {value!r}])
+            except SystemExit as exc:
+                code = exc.code
+        loaded = [m for m in {NUMERIC_ONLY!r} if m in sys.modules]
+        print(json.dumps({{"code": code, "err": err.getvalue(), "loaded": loaded}}))
+        """
+    )
+    assert result["code"] == 2 and result["loaded"] == []
+    assert "Traceback" not in result["err"]
+    errors = [line for line in result["err"].splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("qsov: error: ")
+
+
+def test_numeric_modules_load_on_first_use():
+    result = _fresh(
+        """
+        import json, sys
+        import qsov
+        before = "qsov.numkernel" in sys.modules
+        nk = qsov.numkernel
+        from qsov import ruijsenaars
+        namespace = {}
+        exec("from qsov import *", namespace)
+        try:
+            qsov.no_such_module
+            missing = None
+        except AttributeError as exc:
+            missing = str(exc)
+        print(json.dumps({
+            "before": before,
+            "same": nk is sys.modules["qsov.numkernel"] and ruijsenaars is qsov.ruijsenaars,
+            "config": nk.NumericConfig is qsov.suites.NumericConfig
+                      and nk.DEFAULT_CONFIG == nk.NumericConfig(),
+            "all": sorted(qsov.__all__),
+            "star": sorted(k for k in namespace if k != "__builtins__"),
+            "missing": missing,
+        }))
+        """
+    )
+    assert result["before"] is False
+    assert result["same"] and result["config"]
+    assert "numkernel" in result["all"] and "ruijsenaars" in result["all"]
+    assert result["star"] == result["all"]
+    assert result["missing"] == "module 'qsov' has no attribute 'no_such_module'"
+
+
+def test_numkernel_fork_pool_matches_serial(capsys):
+    reports = []
+    for workers in ("1", "2"):
+        code, out = run_cli(capsys, "verify", "numkernel", "--json", "--workers", workers)
+        assert code == 0
+        report = json.loads(out)
+        del report["elapsed_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]

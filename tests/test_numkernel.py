@@ -471,6 +471,51 @@ def test_orthogonality():
         assert nk.orthogonality_check(n, n, 0.25, 0.5)["err"] < 1e-6
 
 
+def test_product_and_orthogonality_cases_share_their_weights(monkeypatch):
+    calls = []
+    original = nk.qprod_pair_nodes
+
+    def counting(*args, **kwargs):
+        calls.append(slug)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nk, "qprod_pair_nodes", counting)
+    monkeypatch.setattr(nk, "_node_weights", {})
+    cases = suites._numeric_cases(CFG, 0)
+    for _, slug, fn, args in cases:
+        if slug in ("product-formula", "orthogonality"):
+            fn(*args)
+    # 5 weights for the 30 product cases, one for the 15 orthogonality cases
+    assert sum(1 for s in cases if s[1] == "product-formula") == 30
+    assert calls.count("product-formula") <= 25
+    assert calls.count("orthogonality") <= 2
+    assert len(nk._node_weights) == 6
+    for weight in nk._node_weights.values():
+        with pytest.raises(ValueError):
+            weight[0] = 0.0
+
+
+def test_shared_weights_give_the_residuals_of_a_cold_build(monkeypatch):
+    warm = [nk.product_formula_check(n, 0.7, 1.1, 0.25, 0.5)["err"] for n in (0, 3)]
+    warm.append(nk.orthogonality_check(2, 2, 0.25, 0.5)["err"])
+    cold = []
+    for n in (0, 3):
+        monkeypatch.setattr(nk, "_node_weights", {})
+        cold.append(nk.product_formula_check(n, 0.7, 1.1, 0.25, 0.5)["err"])
+    monkeypatch.setattr(nk, "_node_weights", {})
+    cold.append(nk.orthogonality_check(2, 2, 0.25, 0.5)["err"])
+    assert warm == cold
+
+
+def test_node_weight_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(nk, "_node_weights", {})
+    for i in range(nk._NODE_WEIGHTS_MAX + 3):
+        nk._node_weight(("probe", i), lambda: np.zeros(4))
+    assert len(nk._node_weights) == nk._NODE_WEIGHTS_MAX
+    assert ("probe", 0) not in nk._node_weights
+    assert ("probe", nk._NODE_WEIGHTS_MAX + 2) in nk._node_weights
+
+
 @pytest.mark.parametrize("n", (0, 2, 4))
 def test_difference_equation(n):
     assert nk.qdiff_equation_check(n, 0.25, 0.5)["err"] < 1e-6

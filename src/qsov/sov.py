@@ -109,13 +109,6 @@ def basis(tag: str, nu: Pair, ctx: QContext) -> Laurent2:
     return _factor(tag, nu.width, ctx).shifted(anchor, anchor)
 
 
-def _leading(tag: str, nu: Pair, ctx: QContext):
-    """Coefficient of the extreme monomial (nu1, nu2) in basis(tag, nu)."""
-    m = nu.width
-    _, a = _basis_param(tag, ctx)
-    return (-a) ** m * tables(ctx).qpow(m * (m - 1) // 2)
-
-
 def _pivot(support) -> Pair:
     """Inclusion-maximal pair of a symmetric support with the largest (l2, l1).
 
@@ -132,8 +125,8 @@ def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> Laurent2:
     The result holds the coefficient of basis(tag, nu) at exponent nu, in
     the order the labels were first picked.  Peels off the _pivot pair of
     the remaining support at each step, subtracting the matching basis
-    element; every new monomial this introduces has strictly smaller width,
-    so the loop terminates.
+    element scaled by its coefficient there; every new monomial this
+    introduces has strictly smaller width, so the loop terminates.
     """
     if not p.is_symmetric():
         raise ValueError("expansion requires a symmetric polynomial")
@@ -144,9 +137,10 @@ def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> Laurent2:
         if not work:
             return Laurent2(coeffs)
         pick = _pivot(work.c)
-        c = work.coeff(*pick) / _leading(tag, pick, ctx)
+        element = basis(tag, pick, ctx)
+        c = work.coeff(*pick) / element.coeff(*pick)
         coeffs[pick] = coeffs.get(pick, ZERO) + c
-        work.iadd_scaled(basis(tag, pick, ctx), -c)
+        work.iadd_scaled(element, -c)
     raise NonTerminating(f"basis expansion did not terminate (tag={tag})")
 
 
@@ -328,26 +322,26 @@ def check_rt_shift_relations(nu: Pair, ctx: QContext) -> bool:
     return True
 
 
-def check_quantum_char_eq(nu: Pair, j: int, ctx: QContext) -> bool:
-    """The three-term operator identity annihilates r_nu, exactly."""
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
+def check_quantum_char_eq(nu: Pair, ctx: QContext) -> bool:
+    """The three-term operator identity annihilates r_nu in y_1 and in y_2, exactly.
+
+    Both identities read the same images M r_nu, M H1 r_nu and M H2 r_nu.
+    """
     spow, g = tables(ctx).spow, ctx.g
-    jdx = j - 1
-    ej = (1, 0) if jdx == 0 else (0, 1)
     r = basis("r", nu, ctx)
     m_r = apply_M_via_r(r, ctx)
     m_h1 = apply_M_via_r(macdonald.apply_H1(r, ctx), ctx)
     m_h2 = apply_M_via_r(macdonald.apply_H2(r, ctx), ctx)
-    # q / t = s^(2-2g), q / t^2 = s^(2-4g) and t^(1/2) = s^g
-    term1 = _linear(ctx.q, *ej) * qshift(m_r, jdx, 4, ctx)
-    term2 = _linear(spow(2 - 2 * g), *ej) * qshift(m_h1, jdx, 2, ctx) * spow(g)
-    term3 = _linear(spow(2 - 4 * g), *ej) * m_h2 * ctx.t
-    residual = term1 - term2 + term3
-    if residual:
-        raise IdentityViolation(
-            f"characteristic equation residual for nu={nu}, j={j}: {residual!r}"
-        )
+    for jdx, ej in enumerate(((1, 0), (0, 1))):
+        # q / t = s^(2-2g), q / t^2 = s^(2-4g) and t^(1/2) = s^g
+        term1 = _linear(ctx.q, *ej) * qshift(m_r, jdx, 4, ctx)
+        term2 = _linear(spow(2 - 2 * g), *ej) * qshift(m_h1, jdx, 2, ctx) * spow(g)
+        term3 = _linear(spow(2 - 4 * g), *ej) * m_h2 * ctx.t
+        residual = term1 - term2 + term3
+        if residual:
+            raise IdentityViolation(
+                f"characteristic equation residual for nu={nu}, j={jdx + 1}: {residual!r}"
+            )
     return True
 
 
@@ -487,16 +481,22 @@ def _R_row_recurrence(lam: Pair, ctx: QContext) -> dict:
     return row
 
 
-def _base_row(kind: str, lam: Pair, ctx: QContext, method: str) -> Laurent2:
-    """The kind row of lam built by one route, as a Laurent2 keyed by the labels nu.
+def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") -> Laurent2:
+    """Row of a transition matrix over {nu inside lam}, zero entries dropped.
 
-    Stored per (kind, lam, method) in the context's tables, tilded kinds
-    included, so the closed and recurrence routes never read each other's
-    rows.  pi and Q rows by recurrence come from the rho and R rows of the
+    The row is a Laurent2 whose exponent nu carries the nu entry (in
+    pairs_under order for the closed route): the row the context's
+    tables store, shared, so never mutate it.  Its c view is read-only.
+
+    kind is one of pi, rho, Q, R or the tilded variants pit, rhot, Qt, Rt;
+    method 'closed' uses the product formulas, 'recurrence' builds the row
+    from the diagonal initial condition.  Each (kind, lam, method) row is
+    built once and stored in the context's tables, so the two routes never
+    read each other's rows; kind and method are checked only when a row is
+    built.  pi and Q rows by recurrence come from the rho and R rows of the
     reflected label through the involution; a tilded row scales the
     untilded row of its route by mu_p(nu), mu_r(nu) (through _mu_scaled),
-    1/mu_p(lam) or 1/mu_r(lam), whose multipliers _multiplier stores.
-    Stored rows are shared and never mutated.
+    1/mu_p(lam) or 1/mu_r(lam).
     """
     rows = tables(ctx).rows
     key = (kind, lam, method)
@@ -504,8 +504,12 @@ def _base_row(kind: str, lam: Pair, ctx: QContext, method: str) -> Laurent2:
     if row is not None:
         return row
     base = kind[:-1] if kind.endswith("t") else kind
+    if base not in ("pi", "rho", "Q", "R"):
+        raise ValueError(f"unknown transition kind {kind!r}")
+    if method not in ("closed", "recurrence"):
+        raise ValueError("method must be 'closed' or 'recurrence'")
     if base != kind:
-        row = _base_row(base, lam, ctx, method)
+        row = transition_row(base, lam, ctx, method)
         if base in ("pi", "rho"):
             row = _mu_scaled(row, "p" if base == "pi" else "r", ctx)
         else:
@@ -518,7 +522,7 @@ def _base_row(kind: str, lam: Pair, ctx: QContext, method: str) -> Laurent2:
         row = Laurent2(_R_row_recurrence(lam, ctx))
     else:
         # the involution: the entry at nu of the reflected row moves to nu.bar() = (-nu2, -nu1)
-        bar = _base_row("rho" if base == "pi" else "R", lam.bar(), ctx, method)
+        bar = transition_row("rho" if base == "pi" else "R", lam.bar(), ctx, method)
         scale = ctx.t * ctx.xi ** 2
         if base == "pi":
             row = bar.map_terms(lambda k: ((-k[1], -k[0]), scale ** (lam.total + 2 * k[1])))
@@ -526,27 +530,6 @@ def _base_row(kind: str, lam: Pair, ctx: QContext, method: str) -> Laurent2:
             row = bar.map_terms(lambda k: ((-k[1], -k[0]), scale ** (2 * lam.l1 + k[0] + k[1])))
     rows[key] = row
     return row
-
-
-def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") -> Laurent2:
-    """Row of a transition matrix over {nu inside lam}, zero entries dropped.
-
-    The row is a Laurent2 whose exponent nu carries the nu entry (in
-    pairs_under order for the closed route): the row the context's
-    tables store, shared, so never mutate it.  Its c view is read-only.
-
-    kind is one of pi, rho, Q, R or the tilded variants pit, rhot, Qt, Rt;
-    method 'closed' uses the product formulas, 'recurrence' builds the row
-    from the diagonal initial condition (pi/Q rows are obtained from rho/R
-    rows of the reflected label through the involution).  The row is built
-    once per (kind, lam, ctx, method) and stored by _base_row.
-    """
-    base = kind[:-1] if kind.endswith("t") else kind
-    if base not in ("pi", "rho", "Q", "R"):
-        raise ValueError(f"unknown transition kind {kind!r}")
-    if method not in ("closed", "recurrence"):
-        raise ValueError("method must be 'closed' or 'recurrence'")
-    return _base_row(kind, lam, ctx, method)
 
 
 # ---------------------------------------------------------------------------

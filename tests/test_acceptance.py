@@ -68,8 +68,7 @@ def test_quantum_characteristic_equation_grid():
     t0 = time.perf_counter()
     for ctx in CTXS:
         for nu in PAIRS:
-            for j in (1, 2):
-                sov.check_quantum_char_eq(nu, j, ctx)
+            sov.check_quantum_char_eq(nu, ctx)
     _announce("quantum characteristic equation (full grid, j = 1, 2)", t0)
 
 

@@ -173,6 +173,16 @@ def test_negative_lmax_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "name,grid",
+    [("sov", {"s_values": ()}), ("qpoly", {"g_values": ()}), ("transitions", {"xi_values": ()})],
+)
+def test_grid_that_runs_nothing_is_an_error(name, grid):
+    # an empty case list has nothing to pass, so it must not report "pass"
+    with pytest.raises(ValueError, match="no case"):
+        cli.suites.run_suite(name, **grid)
+
+
+@pytest.mark.parametrize(
     "argv, joined",
     [
         (["compute", "transition", "--lam", "-1,2"], ["compute", "transition", "--lam=-1,2"]),

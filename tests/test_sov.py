@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsov import exact, macdonald, sov
+from qsov import exact, macdonald, sov, suites
+from qsov.errors import IdentityViolation
 from qsov.exact import Laurent2, Pair, QContext, frac, qpochhammer, random_symmetric, tables
 
 CTX = QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
@@ -138,8 +139,39 @@ def test_factorization_small_grid(ctx):
 @pytest.mark.parametrize("ctx", CTXS)
 def test_quantum_characteristic_equation(ctx):
     for nu in (Pair(0, 0), Pair(0, 3), Pair(-1, 2)):
-        for j in (1, 2):
-            assert sov.check_quantum_char_eq(nu, j, ctx)
+        assert sov.check_quantum_char_eq(nu, ctx)
+
+
+@pytest.mark.parametrize("jdx", [0, 1])
+def test_char_eq_checks_each_variable(monkeypatch, jdx):
+    # perturb the shifted images in one variable only: that variable's identity must fail
+    real = sov.qshift
+
+    def perturbed(p, j, s_steps, ctx):
+        out = real(p, j, s_steps, ctx)
+        return out + Laurent2.term(0, 0) if j == jdx else out
+
+    monkeypatch.setattr(sov, "qshift", perturbed)
+    with pytest.raises(IdentityViolation, match=f"j={jdx + 1}:"):
+        sov.check_quantum_char_eq(Pair(-1, 2), CTX)
+
+
+def test_char_eq_case_builds_each_image_once(monkeypatch):
+    sov.basis.cache_clear()
+    exact.clear_tables()
+    calls = []
+    real = sov.apply_M_via_r
+
+    def counted(p, ctx):
+        calls.append(p)
+        return real(p, ctx)
+
+    monkeypatch.setattr(sov, "apply_M_via_r", counted)
+    for nu in (Pair(0, 0), Pair(-1, 2), Pair(0, 3)):
+        calls.clear()
+        suites.case_char_eq(CTX, nu)
+        # M r_nu, M H1 r_nu and M H2 r_nu, shared by the identities in y_1 and y_2
+        assert len(calls) == 3, nu
 
 
 @pytest.mark.parametrize("ctx", CTXS)
@@ -306,7 +338,6 @@ labels = st.builds(
 def test_basis_table_properties(ctx, nu):
     for tag in sov.BASIS_TAGS:
         b = sov.basis(tag, nu, ctx)
-        assert sov._leading(tag, nu, ctx) == b.coeff(nu.l1, nu.l2)
         for j, e in ((1, nu.l1), (2, nu.l2)):
             eigenvalue = ctx.q ** (e if tag in ("p", "pt") else -e)
             assert sov.apply_shift(b, j, tag, ctx) == b * eigenvalue
@@ -319,8 +350,8 @@ def test_basis_table_properties(ctx, nu):
 @given(ctx=off_grid_contexts(), nu=labels)
 @_spot_examples(nu=Pair(-1, 2))
 def test_char_eq_and_jacobian_action_off_grid(ctx, nu):
+    assert sov.check_quantum_char_eq(nu, ctx)
     for j in (1, 2):
-        assert sov.check_quantum_char_eq(nu, j, ctx)
         assert sov.check_jacobian_action(nu, j, ctx)
     assert sov.check_rt_shift_relations(nu, ctx)
 
@@ -422,8 +453,9 @@ def test_one_pass_pivot_matches_inclusion_scan():
         while work:
             pick = sov._pivot(work.c)
             assert pick == _inclusion_maximal_pick(work)
-            c = work.coeff(pick.l1, pick.l2) / sov._leading(tag, pick, CTX)
-            work = work - sov.basis(tag, pick, CTX) * c
+            element = sov.basis(tag, pick, CTX)
+            c = work.coeff(pick.l1, pick.l2) / element.coeff(*pick)
+            work = work - element * c
 
 
 @pytest.mark.parametrize("ctx", CTXS)

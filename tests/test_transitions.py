@@ -145,6 +145,24 @@ def test_routes_stay_independent_under_cache(cold_rows, monkeypatch, name, cache
         assert closed != _entries(sov.transition_row(kind, lam, CTX, "recurrence")), kind
 
 
+@pytest.mark.parametrize("stored", [False, True], ids=["cold", "stored"])
+def test_transition_row_rejects_unknown_arguments(cold_rows, stored):
+    # the arguments are checked when a row is built, whether or not rows of lam are stored
+    lam = Pair(-1, 2)
+    if stored:
+        for kind in KINDS:
+            for method in ("closed", "recurrence"):
+                sov.transition_row(kind, lam, CTX, method)
+    before = set(exact.tables(CTX).rows)
+    for kind in ("bogus", "rhott"):
+        with pytest.raises(ValueError, match="unknown transition kind"):
+            sov.transition_row(kind, lam, CTX)
+    for kind in ("rho", "Qt"):
+        with pytest.raises(ValueError, match="method must be"):
+            sov.transition_row(kind, lam, CTX, "bogus")
+    assert set(exact.tables(CTX).rows) == before
+
+
 @pytest.mark.parametrize("method", ["closed", "recurrence"])
 def test_row_entries_are_fresh_copies(cold_rows, method):
     # no caller can change a stored row: its c view refuses writes, and the

@@ -19,11 +19,12 @@ and record the regeneration and its reason in CHANGES.md.
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
 from qsov import macdonald, qpoly, sov, suites
-from qsov.exact import QContext, frac, rational_str
+from qsov.exact import QContext, frac, random_symmetric, rational_str
 
 GOLDEN = Path(__file__).resolve().parent / "golden_exact.json"
 
@@ -35,6 +36,8 @@ CONTEXTS = [
 LABELS = suites.default_pairs(lmax=2, wmax=4)
 KINDS = ("pi", "rho", "Q", "R", "pit", "rhot", "Qt", "Rt")
 CQ_NMAX = 6
+#: Two fixed symmetric polynomials expanded in every basis, beside P_lam and its image.
+RANDOM_SYMMETRIC = [random_symmetric(random.Random(seed), degree=4, terms=5) for seed in (1, 2)]
 
 
 def _key(k):
@@ -54,7 +57,7 @@ def families() -> dict:
     out = {name: [] for name in (
         "basis", "apply_M", "apply_M_via_r", "apply_M_inverse", "apply_M_inverse_qdiff",
         "transition_closed", "transition_recurrence", "P_lam", "f_lam", "f_lam_alt",
-        "normalization_c", "cq_sum",
+        "normalization_c", "cq_sum", "expand_in_basis",
     )}
     maps = [(name, getattr(sov, name)) for name in (
         "apply_M", "apply_M_via_r", "apply_M_inverse", "apply_M_inverse_qdiff",
@@ -63,6 +66,7 @@ def families() -> dict:
         where = ctx.label()
         for n in range(CQ_NMAX + 1):
             out["cq_sum"].append([where, n, _terms(qpoly.cq_sum(n, ctx.t, ctx).c)])
+        expanded = [(f"random[{i}]", p) for i, p in enumerate(RANDOM_SYMMETRIC)]
         for lam in LABELS:
             label = str(lam)
             for tag in sov.BASIS_TAGS:
@@ -70,7 +74,10 @@ def families() -> dict:
             P = macdonald.macdonald_poly(lam, ctx).poly
             out["P_lam"].append([where, label, _terms(P.c)])
             for name, fn in maps:
-                out[name].append([where, label, _terms(fn(P, ctx).c)])
+                image = fn(P, ctx)
+                out[name].append([where, label, _terms(image.c)])
+                if name == "apply_M":
+                    expanded += [(f"P_lam[{label}]", P), (f"apply_M[{label}]", image)]
             for method in ("closed", "recurrence"):
                 for kind in KINDS:
                     row = sov.transition_row(kind, lam, ctx, method)
@@ -80,6 +87,10 @@ def families() -> dict:
                 [where, label, _terms(macdonald.separated_poly_alt(lam, ctx).poly.c)]
             )
             out["normalization_c"].append([where, label, rational_str(sov.normalization_c(lam, ctx))])
+        for source, p in expanded:
+            for tag in sov.BASIS_TAGS:
+                exp = sov.expand_in_basis(p, tag, ctx)
+                out["expand_in_basis"].append([where, tag, source, _terms(exp.c)])
     return out
 
 

@@ -13,11 +13,25 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import macdonald, qpoly, sov, suites
 from .errors import QsovError
 from .exact import Pair, QContext, frac, rational_str
 from .numconfig import NumericConfig
+
+
+def _rational(flag: str, text: str, accepted: str = "a rational"):
+    """The flag's value as an exact scalar; a usage error naming flag and value otherwise.
+
+    The text is read as a fractions.Fraction literal whatever the scalar
+    backend, so the accepted values and the message do not depend on it.
+    """
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be {accepted} such as 3/2 or -5/7, got {text!r}") from None
+    return frac(value.numerator, value.denominator)
 
 
 def _inputs(args) -> dict:
@@ -32,6 +46,10 @@ def _inputs(args) -> dict:
         max_workers = 4 * (os.cpu_count() or 1)
         if not 1 <= args.workers <= max_workers:
             raise ValueError(f"--workers must lie in 1..{max_workers} (4 per CPU)")
+        # the report's grid echoes the flag strings, so they are only checked here
+        for flag, values in (("--s", args.s), ("--xi", args.xi)):
+            for text in values or ():
+                _rational(flag, text)
         grid = {
             "s_values": tuple(args.s) if args.s else suites.DEFAULT_S,
             "g_values": tuple(args.g) if args.g else suites.DEFAULT_G,
@@ -42,14 +60,14 @@ def _inputs(args) -> dict:
             quad_points=args.quad_points, tol_tight=args.tol_tight, tol_loose=args.tol_loose
         )
         return grid
-    ctx = QContext(s=frac(args.s), g=args.g, xi=frac(args.xi))
+    ctx = QContext(s=_rational("--s", args.s), g=args.g, xi=_rational("--xi", args.xi))
     inputs = {"ctx": ctx, "lam": Pair.parse(args.lam)}
     if args.command == "compute":
         if args.n < 0:
             raise ValueError("--n must be nonnegative")
         inputs["nu"] = Pair.parse(args.nu)
         beta = {"t": ctx.t, "q": ctx.q}.get(args.beta)
-        inputs["beta"] = frac(args.beta) if beta is None else beta
+        inputs["beta"] = _rational("--beta", args.beta, "t, q or a rational") if beta is None else beta
     return inputs
 
 

@@ -22,7 +22,7 @@ class IdentityViolation(QsovError):
 
 
 class NonTerminating(QsovError):
-    """Iteration cap hit in a triangular expansion (should be impossible)."""
+    """A triangular expansion cannot end: an element left its box or a remainder stayed."""
 
 
 class ToleranceExceeded(QsovError):

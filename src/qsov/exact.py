@@ -11,8 +11,9 @@ a rational content (Knuth, TAOCP vol. 2, 4.6.1).  The invariant, restored
 once per result, is: the denominator is a positive int, no numerator is
 zero, and gcd(denominator, *numerators) == 1.  The form is canonical, so two
 polynomials are equal exactly when numerators and denominator agree.  Ring
-operations, substitutions, shifts, evaluation and exact division work on the
-integers and build no per-term scalar; only this module knows the storage.
+operations, substitutions, shifts, evaluation, exact division and the
+triangular solve Laurent2.expand work on the integers and build no per-term
+scalar; only this module knows the storage.
 Readers elsewhere see the read-only {exponent: scalar} mapping p.c, and coeff
 returns the scalar type frac (fractions.Fraction, or gmpy2.mpq when gmpy2 is
 installed).
@@ -22,10 +23,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import itemgetter
 
-from .errors import NotDivisible, PoleError
+from .errors import NonTerminating, NotDivisible, PoleError
 
 try:
     from gmpy2 import mpq as _rational
@@ -717,6 +719,70 @@ class Laurent2(_Laurent):
     def is_symmetric(self) -> bool:
         n = self._n
         return all(n.get((b, a)) == v for (a, b), v in n.items())
+
+    def expand(self, element) -> "Laurent2":
+        """The label vector v with v.combine(element) == self: the inverse of combine.
+
+        self is symmetric, and element is a triangular family: for every
+        label k = (lo, top), lo <= top, element(k) is a symmetric polynomial
+        with a nonzero coefficient at k and every monomial in the box
+        [lo, top]^2.  Each step peels off the pivot, the label with the
+        largest top and then the smallest lo among the remainder's monomials
+        (a, b), a <= b, taken from a heap of (-top, lo) keys with lazy
+        deletion.  v holds the labels in that order, which falls strictly
+        because an element adds monomials inside its box only, so the loop
+        ends.
+
+        The remainder is an int numerator dict W over one denominator D and
+        each step is fraction-free (Bareiss): with w = W[k], E the
+        element's numerators over ed, el = E[k] and g = gcd(w, el), W
+        becomes (el/g) W - (w/g) E and D becomes D el/g.  The entry at k is
+        the unreduced int pair (w ed/g, D el/g) with the old D; v is built
+        with one lcm and reduced once.  Raises
+        NonTerminating when an element leaves its box or misses its label,
+        or when the remainder is not zero once no label is left.
+        """
+        work, den = dict(self._n), self._d
+        heap = [(-b, a) for a, b in work if a <= b]
+        heapify(heap)
+        entries = []  # (label, numerator, denominator), unreduced
+        while heap:
+            neg_top, lo = heappop(heap)
+            top = -neg_top
+            k = (lo, top)
+            w = work.get(k)
+            if w is None:
+                continue
+            e = element(k)
+            el = e._n.get(k)
+            if el is None:
+                raise NonTerminating(f"element {k} has no term at its label")
+            g = gcd(w, el)
+            f, h = el // g, w // g
+            entries.append((k, h * e._d, den * f))
+            if f != 1:
+                work = {m: f * v for m, v in work.items()}
+                den *= f
+            get = work.get
+            for m, v in e._n.items():
+                a, b = m
+                if a < lo or b < lo or a > top or b > top:
+                    raise NonTerminating(f"element {k} has a term at {m}, outside its box")
+                x = get(m)
+                if x is None:
+                    work[m] = -h * v
+                    if a <= b:
+                        heappush(heap, (-b, a))
+                else:
+                    x -= h * v
+                    if x:
+                        work[m] = x
+                    else:
+                        del work[m]
+        if work:
+            raise NonTerminating("triangular expansion left a nonzero remainder")
+        common = lcm(*(d for _, _, d in entries))
+        return self._make({k: n * (common // d) for k, n, d in entries}, common)
 
     def evaluate(self, z1: complex, z2: complex) -> complex:
         # n / d is the correctly rounded float of the coefficient, as float(Fraction) is.

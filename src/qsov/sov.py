@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import macdonald
-from .errors import IdentityViolation, NonTerminating
+from .errors import IdentityViolation
 from .exact import (
     Laurent2,
     ONE,
     Pair,
     QContext,
-    ZERO,
     _ratio,
     _times,
     divide_exact,
@@ -109,39 +108,16 @@ def basis(tag: str, nu: Pair, ctx: QContext) -> Laurent2:
     return _factor(tag, nu.width, ctx).shifted(anchor, anchor)
 
 
-def _pivot(support) -> Pair:
-    """Inclusion-maximal pair of a symmetric support with the largest (l2, l1).
-
-    That pair is (lo, top): top is the largest exponent in the support and
-    lo the smallest exponent that shares a monomial with top.
-    """
-    top, neg_lo = max((b, -a) if a <= b else (a, -b) for a, b in support)
-    return Pair(-neg_lo, top)
-
-
 def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> Laurent2:
     """Unique finite expansion of a symmetric polynomial in the tagged basis.
 
     The result holds the coefficient of basis(tag, nu) at exponent nu, in
-    the order the labels were first picked.  Peels off the _pivot pair of
-    the remaining support at each step, subtracting the matching basis
-    element scaled by its coefficient there; every new monomial this
-    introduces has strictly smaller width, so the loop terminates.
+    the order Laurent2.expand peels the labels off: the basis is triangular,
+    basis(tag, nu) having its monomials in the box [nu1, nu2]^2.
     """
     if not p.is_symmetric():
         raise ValueError("expansion requires a symmetric polynomial")
-    coeffs: dict = {}
-    work = p.copy()
-    cap = 4 * (len(p.c) + 4) ** 2 + 64
-    for _ in range(cap):
-        if not work:
-            return Laurent2(coeffs)
-        pick = _pivot(work.c)
-        element = basis(tag, pick, ctx)
-        c = work.coeff(*pick) / element.coeff(*pick)
-        coeffs[pick] = coeffs.get(pick, ZERO) + c
-        work.iadd_scaled(element, -c)
-    raise NonTerminating(f"basis expansion did not terminate (tag={tag})")
+    return p.expand(lambda k: basis(tag, Pair(*k), ctx))
 
 
 def reassemble(vec: Laurent2, tag: str, ctx: QContext) -> Laurent2:

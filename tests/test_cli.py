@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -157,6 +158,49 @@ def test_bad_flag_value_is_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("qsov: error: ")
+
+
+def _int_pair_scalar(n, d=1):
+    """A scalar backend that takes int pairs only: a stand-in for one that reads strings unlike Fraction."""
+    assert type(n) is int and type(d) is int
+    return Fraction(n, d)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["verify", "sov", "--xi", "1/0"], "--xi", "1/0"),
+        (["verify", "qpoly", "--s", "1/2", "--s", "abc"], "--s", "abc"),
+        (["compute", "cpoly", "--s", "abc"], "--s", "abc"),
+        (["compute", "basis", "--xi", "2/0"], "--xi", "2/0"),
+        (["compute", "cpoly", "--beta", "1/x"], "--beta", "1/x"),
+        (["factorize", "--lam", "0,1", "--s", "1//2"], "--s", "1//2"),
+    ],
+)
+def test_bad_rational_names_flag_and_value(capsys, monkeypatch, argv, flag, value):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_suite must not start")
+
+    monkeypatch.setattr(cli.suites, "run_suite", no_run)
+    messages = []
+    for backend in (cli.frac, _int_pair_scalar):
+        monkeypatch.setattr(cli, "frac", backend)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        messages.append(err.splitlines()[-1])
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"qsov: error: {flag} must be ")
+    assert messages[0].endswith(f"got {value!r}")
+
+
+def test_rational_flags_accept_the_same_literals_on_any_backend(capsys, monkeypatch):
+    argv = ["compute", "cpoly", "--n", "2", "--s", "0.5", "--xi", "-5/7", "--beta", "3/2"]
+    code, out = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "frac", _int_pair_scalar)
+    assert run_cli(capsys, *argv) == (code, out) and code == 0
 
 
 def test_negative_lmax_is_usage_error(capsys):

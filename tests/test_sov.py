@@ -1,11 +1,12 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsov import exact, macdonald, sov, suites
-from qsov.errors import IdentityViolation
+from qsov.errors import IdentityViolation, NonTerminating
 from qsov.exact import Laurent2, Pair, QContext, frac, qpochhammer, random_symmetric, tables
 
 CTX = QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
@@ -49,6 +50,9 @@ def test_expand_round_trip():
 def test_expand_rejects_asymmetric():
     with pytest.raises(ValueError):
         sov.expand_in_basis(Laurent2({(0, 1): 1}), "p", CTX)
+    # without the symmetry check, the mirror term (1, 0) is left over
+    with pytest.raises(NonTerminating):
+        Laurent2({(0, 1): 1}).expand(lambda k: sov.basis("p", Pair(*k), CTX))
 
 
 def test_expansion_matches_transition_row():
@@ -441,21 +445,87 @@ def _inclusion_maximal_pick(p):
     return max(maximal, key=lambda nu: (nu.l2, nu.l1))
 
 
-def test_one_pass_pivot_matches_inclusion_scan():
-    rng = random.Random(17)
-    for _ in range(300):
-        p = random_symmetric(rng, degree=rng.randint(0, 7), terms=rng.randint(1, 8))
-        if p:
-            assert sov._pivot(p.c) == _inclusion_maximal_pick(p)
+def _peel_reference(p, tag, ctx):
+    """The expansion as a Fraction peel: rescan the support for the pivot, then subtract.
+
+    Returns the expansion, labels in pick order, and the remainder before each pick.
+    """
+    coeffs = {}
+    remainders = []
+    work = p.copy()
+    while work:
+        remainders.append(work.copy())
+        top, neg_lo = max((b, -a) if a <= b else (a, -b) for a, b in work.c)
+        pick = Pair(-neg_lo, top)
+        element = sov.basis(tag, pick, ctx)
+        c = work.coeff(*pick) / element.coeff(*pick)
+        coeffs[pick] = coeffs.get(pick, 0) + c
+        work.iadd_scaled(element, -c)
+    return Laurent2(coeffs), remainders
+
+
+@settings(max_examples=60, deadline=None)
+@given(ctx=off_grid_contexts(), lam=labels, seed=st.integers(0, 2 ** 16))
+@_spot_examples(lam=Pair(-1, 2), seed=17)
+def test_expansion_matches_fraction_peel(ctx, lam, seed):
+    rng = random.Random(seed)
+    inputs = [
+        random_symmetric(rng, degree=rng.randint(0, 7), terms=rng.randint(1, 8)),
+        macdonald.macdonald_poly(lam, ctx).poly,
+    ]
     for tag in sov.BASIS_TAGS:
-        # the pivot of every intermediate remainder of an expansion
-        work = sov.basis(tag, Pair(-2, 3), CTX) + sov.basis(tag, Pair(0, 4), CTX) * 3
-        while work:
-            pick = sov._pivot(work.c)
-            assert pick == _inclusion_maximal_pick(work)
-            element = sov.basis(tag, pick, CTX)
-            c = work.coeff(pick.l1, pick.l2) / element.coeff(*pick)
-            work = work - element * c
+        combo = sov.basis(tag, Pair(-2, 3), ctx) + sov.basis(tag, Pair(0, 4), ctx) * 3
+        for p in inputs + [combo]:
+            terms = list(p.c.items())
+            ref, remainders = _peel_reference(p, tag, ctx)
+            elements = {nu: list(sov.basis(tag, nu, ctx).c.items()) for nu in ref.c}
+            exp = sov.expand_in_basis(p, tag, ctx)
+            assert exp == ref
+            assert list(exp.c) == list(ref.c)
+            assert list(exp.c) == [_inclusion_maximal_pick(r) for r in remainders]
+            assert list(p.c.items()) == terms
+            for nu, element_terms in elements.items():
+                assert list(sov.basis(tag, nu, ctx).c.items()) == element_terms, (tag, nu)
+
+
+@pytest.mark.parametrize("corrupt", ["outside", "no_label"])
+def test_expansion_stops_on_a_corrupted_element(monkeypatch, corrupt):
+    nu = Pair(0, 2)
+    p = sov.basis("p", Pair(-1, 3), CTX) + sov.basis("p", nu, CTX)
+    real_basis = sov.basis
+
+    def corrupted(tag, label, ctx):
+        element = real_basis(tag, label, ctx)
+        if label != nu:
+            return element
+        if corrupt == "outside":
+            # symmetric, so only the box check tells it from a genuine element
+            return element + Laurent2.term(nu.l2 + 1, nu.l2 + 1)
+        return element - Laurent2.term(*nu, element.coeff(*nu))
+
+    monkeypatch.setattr(sov, "basis", corrupted)
+    with pytest.raises(NonTerminating):
+        sov.expand_in_basis(p, "p", CTX)
+
+
+def test_expansion_of_a_sparse_wide_polynomial_is_cheap(monkeypatch):
+    n = 10 ** 4
+    p = Laurent2({(0, 0): 1, (n, n): 1})
+    calls = []
+    real_basis = sov.basis
+
+    def counted(tag, label, ctx):
+        calls.append(label)
+        return real_basis(tag, label, ctx)
+
+    monkeypatch.setattr(sov, "basis", counted)
+    for tag in sov.BASIS_TAGS:
+        calls.clear()
+        start = time.perf_counter()
+        exp = sov.expand_in_basis(p, tag, CTX)
+        assert time.perf_counter() - start < 1.0
+        assert calls == [Pair(n, n), Pair(0, 0)]
+        assert sov.reassemble(exp, tag, CTX) == p
 
 
 @pytest.mark.parametrize("ctx", CTXS)

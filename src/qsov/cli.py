@@ -21,6 +21,11 @@ from .exact import Pair, QContext, frac, rational_str
 from .numconfig import NumericConfig
 
 
+def _bad(flag: str, accepted: str, text) -> ValueError:
+    """A usage error that names the flag, what it accepts and the value given."""
+    return ValueError(f"{flag} must be {accepted}, got {str(text)!r}")
+
+
 def _rational(flag: str, text: str, accepted: str = "a rational"):
     """The flag's value as an exact scalar; a usage error naming flag and value otherwise.
 
@@ -30,26 +35,52 @@ def _rational(flag: str, text: str, accepted: str = "a rational"):
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{flag} must be {accepted} such as 3/2 or -5/7, got {text!r}") from None
+        raise _bad(flag, f"{accepted} such as 3/2 or -5/7", text) from None
     return frac(value.numerator, value.denominator)
+
+
+#: What each context flag accepts, and the test its value must pass; argparse
+#: stores the value of --s, --g and --xi as args.s, args.g and args.xi.
+_CONTEXT_FLAGS = {
+    "--s": ("a rational with 0 < s < 1", lambda v: 0 < v < 1),
+    "--g": ("a positive integer", lambda v: v >= 1),
+    "--xi": ("a nonzero rational", lambda v: v != 0),
+}
+
+
+def _context_value(flag: str, text):
+    """The value of --s, --g or --xi (argparse has made --g an int), checked against its range."""
+    value = text if flag == "--g" else _rational(flag, text)
+    accepted, ok = _CONTEXT_FLAGS[flag]
+    if not ok(value):
+        raise _bad(flag, accepted, text)
+    return value
+
+
+def _pair(flag: str, text: str) -> Pair:
+    try:
+        return Pair.parse(text)
+    except ValueError:
+        raise _bad(flag, "a label pair 'l1,l2' of integers with l1 <= l2", text) from None
 
 
 def _inputs(args) -> dict:
     """The objects the command's flags describe, built before any computation.
 
     Every check on a flag value runs here, so main() can report a bad value
-    as a usage error and let errors from the computations themselves pass.
+    as a usage error that names the flag and the value, and let errors from
+    the computations themselves pass.
     """
     if args.command == "verify":
         if args.lmax < 0:
-            raise ValueError("--lmax must be nonnegative; a negative bound checks no label")
+            raise _bad("--lmax", "nonnegative (a negative bound checks no label)", args.lmax)
         max_workers = 4 * (os.cpu_count() or 1)
         if not 1 <= args.workers <= max_workers:
-            raise ValueError(f"--workers must lie in 1..{max_workers} (4 per CPU)")
+            raise _bad("--workers", f"in 1..{max_workers} (4 per CPU)", args.workers)
         # the report's grid echoes the flag strings, so they are only checked here
-        for flag, values in (("--s", args.s), ("--xi", args.xi)):
-            for text in values or ():
-                _rational(flag, text)
+        for flag in _CONTEXT_FLAGS:
+            for text in getattr(args, flag[2:]) or ():
+                _context_value(flag, text)
         grid = {
             "s_values": tuple(args.s) if args.s else suites.DEFAULT_S,
             "g_values": tuple(args.g) if args.g else suites.DEFAULT_G,
@@ -60,12 +91,12 @@ def _inputs(args) -> dict:
             quad_points=args.quad_points, tol_tight=args.tol_tight, tol_loose=args.tol_loose
         )
         return grid
-    ctx = QContext(s=_rational("--s", args.s), g=args.g, xi=_rational("--xi", args.xi))
-    inputs = {"ctx": ctx, "lam": Pair.parse(args.lam)}
+    ctx = QContext(**{flag[2:]: _context_value(flag, getattr(args, flag[2:])) for flag in _CONTEXT_FLAGS})
+    inputs = {"ctx": ctx, "lam": _pair("--lam", args.lam)}
     if args.command == "compute":
         if args.n < 0:
-            raise ValueError("--n must be nonnegative")
-        inputs["nu"] = Pair.parse(args.nu)
+            raise _bad("--n", "nonnegative", args.n)
+        inputs["nu"] = _pair("--nu", args.nu)
         beta = {"t": ctx.t, "q": ctx.q}.get(args.beta)
         inputs["beta"] = _rational("--beta", args.beta, "t, q or a rational") if beta is None else beta
     return inputs

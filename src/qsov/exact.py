@@ -16,7 +16,8 @@ triangular solve Laurent2.expand work on the integers and build no per-term
 scalar; only this module knows the storage.
 Readers elsewhere see the read-only {exponent: scalar} mapping p.c, and coeff
 returns the scalar type frac (fractions.Fraction, or gmpy2.mpq when gmpy2 is
-installed).
+installed).  A polynomial is never changed once built: every operation
+returns a new one, so a shared polynomial is safe to hand out.
 """
 
 from __future__ import annotations
@@ -476,10 +477,6 @@ class _Laurent:
     def c(self) -> Mapping:
         return _Coeffs(self)
 
-    def copy(self):
-        """A new polynomial with the same terms, safe to change with iadd_scaled."""
-        return self._wrap(dict(self._n), self._d)
-
     def __bool__(self):
         return bool(self._n)
 
@@ -492,13 +489,15 @@ class _Laurent:
         raise TypeError(f"{type(self).__name__} is unhashable")
 
     def _plus(self, other, sign: int):
-        """self + sign * other for a polynomial or scalar other and sign = +-1."""
+        """self + sign * other for a polynomial or scalar other and sign = +-1, reduced once."""
         s = _coerce_other(other)
         if s is not None:
             other = type(self)({self._UNIT: s})
-        out = self.copy()
-        out.iadd_scaled(other, sign)
-        return out
+        den = lcm(self._d, other._d)
+        f = den // self._d
+        out = {k: v * f for k, v in self._n.items()} if f != 1 else dict(self._n)
+        _add_multiple(out, other._n, sign * (den // other._d))
+        return self._make(out, den)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -532,25 +531,6 @@ class _Laurent:
             base = base * base
             n >>= 1
         return res
-
-    def iadd_scaled(self, p, c) -> None:
-        """In place, self += c * p for a polynomial p of the same class and a scalar c.
-
-        The one mutating operation: use it only on a polynomial the caller
-        made itself (copy() or combine), never on a shared one.
-        """
-        c = as_rational(c)
-        if c == 0 or not p._n:
-            return
-        cn, cd = _ints(c)
-        td = cd * p._d
-        den = lcm(self._d, td)
-        out = self._n
-        if den != self._d:
-            f = den // self._d
-            out = {k: v * f for k, v in out.items()}
-        _add_multiple(out, p._n, cn * (den // td))
-        self._n, self._d = _reduced(out, den)
 
     def combine(self, element):
         """sum(self[k] * element(k) for every exponent k of self), reduced once.
@@ -874,10 +854,10 @@ def divide_exact(num: Laurent2, den: Laurent2) -> Laurent2:
 # Random generators for property-style tests and suites
 # ---------------------------------------------------------------------------
 
-def random_rational(rng, max_num=6) -> object:
-    """Small nonzero rational, suitable as a generic coefficient."""
-    num = rng.randint(1, max_num) * rng.choice((-1, 1))
-    den = rng.randint(1, max_num)
+def random_rational(rng) -> object:
+    """Small nonzero rational n/d with |n|, d in 1..6, suitable as a generic coefficient."""
+    num = rng.randint(1, 6) * rng.choice((-1, 1))
+    den = rng.randint(1, 6)
     return frac(num, den)
 
 

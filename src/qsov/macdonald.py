@@ -9,6 +9,7 @@ equation whose spectral parameters are the H-eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import IdentityViolation, NotPolynomial
 from .exact import (
@@ -51,13 +52,6 @@ class SeparatedPoly:
     poly: Laurent1
 
 
-def monomial(lam: Pair) -> Laurent2:
-    """Monomial symmetric function m_lam."""
-    if lam.l1 == lam.l2:
-        return Laurent2.term(lam.l1, lam.l2)
-    return Laurent2({(lam.l1, lam.l2): ONE, (lam.l2, lam.l1): ONE})
-
-
 def u_coeff(lam: Pair, nu: Pair, ctx: QContext):
     """Expansion coefficient of m_nu in P_lam (nu inside lam, same total)."""
     tab = tables(ctx)
@@ -69,19 +63,18 @@ def u_coeff(lam: Pair, nu: Pair, ctx: QContext):
 def macdonald_poly(lam: Pair, ctx: QContext) -> MacdonaldPoly:
     """P_lam as the triangular monomial-basis expansion (unit leading term).
 
-    Stored per lam in the context's tables; the result and its .poly are
-    shared and must not be mutated.
+    The coefficient of m_nu sits at (nu1, nu2) and at (nu2, nu1).  Stored
+    per lam in the context's tables and shared.
     """
     cache = tables(ctx).macdonald
     mp = cache.get(lam)
     if mp is None:
         total = lam.total
-        poly = Laurent2()
+        coeffs = {}
         for nu1 in range(lam.l1, total // 2 + 1):
-            nu2 = total - nu1
-            nu = Pair(nu1, nu2)
-            poly = poly + monomial(nu) * u_coeff(lam, nu, ctx)
-        mp = cache[lam] = MacdonaldPoly(label=lam, poly=poly)
+            nu = Pair(nu1, total - nu1)
+            coeffs[nu] = coeffs[nu.l2, nu.l1] = u_coeff(lam, nu, ctx)
+        mp = cache[lam] = MacdonaldPoly(label=lam, poly=Laurent2(coeffs))
     return mp
 
 
@@ -188,7 +181,7 @@ def separated_poly_alt(lam: Pair, ctx: QContext) -> SeparatedPoly:
     a = (ONE / t ** 2) * q ** (1 - n)  # terminates the series
     b = (ONE / t) * q
     c = (ONE / t) * q ** (1 - n)
-    series = Laurent2()
+    series = {}
     qq = ONE
     poch_a = ONE
     for j in range(n + 2 * g):
@@ -197,30 +190,16 @@ def separated_poly_alt(lam: Pair, ctx: QContext) -> SeparatedPoly:
             qq *= ONE - q ** j
         num_factors = _poch_factors(b, q, j)
         den_factors = _poch_factors(c, q, j)
-        num_zeros = sum(1 for f in num_factors if f == 0)
-        den_zeros = sum(1 for f in den_factors if f == 0)
-        if num_zeros > den_zeros:
-            continue
-        num = ONE
-        skip = num_zeros
-        for f in num_factors:
-            if f == 0 and skip:
-                skip -= 1
-                continue
-            num *= f
-        den = ONE
-        skip = den_zeros
-        for f in den_factors:
-            if f == 0 and skip:
-                skip -= 1
-                continue
-            den *= f
-        series = series + Laurent2.term(j, 0, poch_a * num / (den * qq))
+        if num_factors.count(0) > den_factors.count(0):
+            continue  # an unmatched numerator zero: the term vanishes
+        num = prod((f for f in num_factors if f != 0), start=ONE)
+        den = prod((f for f in den_factors if f != 0), start=ONE)
+        series[j, 0] = poch_a * num / (den * qq)
     denom = Laurent2.one()
     for k in range(1, 2 * g):
         denom = denom * (Laurent2.one() - Laurent2.term(1, 0, q ** -k))
     try:
-        quotient = divide_exact(series, denom)
+        quotient = divide_exact(Laurent2(series), denom)
     except Exception as exc:
         raise NotPolynomial(f"series/(y;q)_(1-2g) not polynomial for lam={lam}") from exc
     shifted = Laurent1({e + lam.l1: v for (e, _), v in quotient.c.items()})

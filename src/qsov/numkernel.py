@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -246,15 +247,11 @@ def aw_integral_report(params_seq, q: float, cfg: NumericConfig = DEFAULT_CONFIG
             "tol": cfg.tol_tight}
 
 
-def aw_integral(params, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
+def aw_integral(params: AWParams, q: float, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
     """Quadrature of w(x)/x over |x|=1 divided by 2*pi*i, checked against the closed form.
 
-    params may also be a list or tuple of AWParams: the weights' common
-    numerator is built once and a list of values comes back in the same
-    order, each equal to the value of a single call.
+    Several weights at one q go through aw_integral_report.
     """
-    if isinstance(params, (list, tuple)):
-        return aw_integral_report(params, q, cfg)["values"]
     return aw_integral_report([params], q, cfg)["values"][0]
 
 
@@ -280,21 +277,6 @@ def aw_convergence_report(params: AWParams, q: float, cfg: NumericConfig = DEFAU
 # ---------------------------------------------------------------------------
 # The two-parameter kernel operator
 # ---------------------------------------------------------------------------
-
-def _as_callable(f):
-    if callable(f):
-        return f
-    coeffs = dict(getattr(f, "c", f))
-
-    def poly(x):
-        x = np.asarray(x, dtype=complex)
-        out = np.zeros_like(x)
-        for k, v in coeffs.items():
-            out = out + float(v) * x ** k
-        return out
-
-    return poly
-
 
 def _check_disk(*values):
     """Raise unless every entry of every (scalar or array) value lies inside |z| < 1."""
@@ -332,19 +314,17 @@ def kern_mab(r: complex, y: complex, x, alpha: float, beta: float, q: float,
     return num / den
 
 
-def apply_Mab_numeric(f, alpha: float, beta: float, r: complex, y: complex, q: float,
-                      cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """Quadrature value of the two-parameter operator applied to a reflexive input.
+def apply_Mab_numeric(fs, alpha: float, beta: float, r: complex, y: complex, q: float,
+                      cfg: NumericConfig = DEFAULT_CONFIG) -> list:
+    """Quadrature values of the two-parameter operator applied to reflexive inputs.
 
-    The kernel does not depend on the input, so f may also be a list or
-    tuple of inputs: the kernel is built once and a list of values comes
-    back in the same order, each equal to the value of a single call.
+    fs is a sequence of callables on the node array.  The kernel does not
+    depend on the input, so it is built once; the values come back in the
+    order of fs.
     """
     x = unit_nodes(cfg.quad_points)
     kern = kern_mab(r, y, x, alpha, beta, q, cfg)
-    if isinstance(f, (list, tuple)):
-        return [complex(np.mean(kern * _as_callable(g)(x))) for g in f]
-    return complex(np.mean(kern * _as_callable(f)(x)))
+    return [complex(np.mean(kern * f(x))) for f in fs]
 
 
 def r_factor(j1: int, j2: int, k1: int, k2: int, alpha: float, beta: float,
@@ -379,15 +359,9 @@ def r_factor_image(j1: int, j2: int, k1: int, k2: int, alpha: float, beta: float
 
 
 def mab_eigenpoly_report(alpha: float, beta: float, r: complex, y: complex, q: float,
-                         max_total: int = 3, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
-    """Operator vs closed form on all finite-product inputs of total degree <= max_total."""
-    degrees = [
-        (j1, j2, k1, k2)
-        for j1 in range(max_total + 1)
-        for j2 in range(max_total + 1 - j1)
-        for k1 in range(max_total + 1 - j1 - j2)
-        for k2 in range(max_total + 1 - j1 - j2 - k1)
-    ]
+                         cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
+    """Operator vs closed form on all finite-product inputs of total degree <= 3."""
+    degrees = [d for d in product(range(4), repeat=4) if sum(d) <= 3]  # (j1, j2, k1, k2)
     vals = apply_Mab_numeric(
         [lambda x, d=d: r_factor(*d, alpha, beta, r, y, x, q) for d in degrees],
         alpha, beta, r, y, q, cfg,
@@ -402,9 +376,9 @@ def mab_eigenpoly_report(alpha: float, beta: float, r: complex, y: complex, q: f
     return report
 
 
-def apply_M_xi_numeric(pol, g: int, q: float, xi: complex, y1: complex, y_plus: complex,
-                       cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """Full separating map as a contour integral, applied to an exact polynomial.
+def apply_M_xi_numeric(pols, g: int, q: float, xi: complex, y1: complex, y_plus: complex,
+                       cfg: NumericConfig = DEFAULT_CONFIG) -> list:
+    """Full separating map as a contour integral, applied to exact polynomials.
 
     The image is evaluated at (y1, y2) with y2 = y_plus**2 / y1: y_plus is a
     square root of y1*y2 chosen by the caller, and y_minus = y1 / y_plus.
@@ -412,9 +386,8 @@ def apply_M_xi_numeric(pol, g: int, q: float, xi: complex, y1: complex, y_plus: 
     rule, so the x1*x2 scaling comes out automatically.
     The kernel is kern_mab with alpha = beta = g, output point y_minus and
     reference point y_plus / t; the input is evaluated on the whole node
-    array at once.  The kernel does not depend on the input, so pol may also
-    be a list or tuple of polynomials: the kernel is built once and a list of
-    values comes back in the same order.
+    array at once.  The kernel does not depend on the input, so it is built
+    once for the sequence pols; the values come back in the order of pols.
     """
     t = q ** g
     y_minus = y1 / y_plus
@@ -422,9 +395,7 @@ def apply_M_xi_numeric(pol, g: int, q: float, xi: complex, y1: complex, y_plus: 
     kern = kern_mab(y_plus / t, y_minus, z, g, g, q, cfg)
     scale = xi * y_plus / math.sqrt(t)
     u, v = scale * z, scale / z
-    if isinstance(pol, (list, tuple)):
-        return [complex(np.mean(kern * p.evaluate(u, v))) for p in pol]
-    return complex(np.mean(kern * pol.evaluate(u, v)))
+    return [complex(np.mean(kern * p.evaluate(u, v))) for p in pols]
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +502,8 @@ def product_formula_check(n: int, theta: float, phi: float, q: float, beta: floa
 
 
 def kernel_series_check(theta: float, phi: float, psi: float, q: float, beta: float,
-                        terms: int = 40, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
-    """Closed product kernel vs its expansion over the polynomial family.
+                        cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
+    """Closed product kernel vs the first 40 terms of its expansion over the polynomial family.
 
     Both sides are compared with the common 1/(2 pi sqrt(1-z^2)) factor
     stripped, which keeps the comparison finite at the interval endpoints.
@@ -550,6 +521,7 @@ def kernel_series_check(theta: float, phi: float, psi: float, q: float, beta: fl
             * qprod_inf(beta * cmath.exp(-2j * psi), q, cfg)
         )
     )
+    terms = 40
     acc = 0.0 + 0.0j
     for m in range(terms):
         term = (
@@ -602,9 +574,9 @@ def orthogonality_check(m: int, n: int, q: float, beta: float,
     return report
 
 
-def qdiff_equation_check(n: int, q: float, beta: float, thetas=(0.3, 0.8, 1.4),
+def qdiff_equation_check(n: int, q: float, beta: float,
                          cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
-    """Residual of the second-order divided-difference equation at sample angles.
+    """Residual of the second-order divided-difference equation at the angles 0.3, 0.8, 1.4.
 
     Sturm-Liouville form: (1-q)^2 D_q[ rho(x; beta*q) D_q y ] + lam_n rho(x; beta) y = 0
     where rho is the orthogonality density including the 1/sqrt(1-arg^2)
@@ -636,7 +608,7 @@ def qdiff_equation_check(n: int, q: float, beta: float, thetas=(0.3, 0.8, 1.4),
     outer = dq(mid)
     lam_n = 4.0 * q ** (-n + 1) * (1.0 - q ** n) * (1.0 - beta ** 2 * q ** n)
     worst = 0.0
-    for th in thetas:
+    for th in (0.3, 0.8, 1.4):
         x = cmath.exp(1j * th)
         res = (1.0 - q) ** 2 * outer(x) + lam_n * complex(rho_out(x)) * complex(y(x))
         worst = max(worst, abs(res))
@@ -688,14 +660,13 @@ def apply_I_fractional(f, alpha: float, r: complex, y: complex, q: float,
             cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
     """Fractional integration operator: integral branch for alpha > 0,
     finite-difference branch for nonpositive integer alpha."""
-    func = _as_callable(f)
     if alpha > 0:
         x = unit_nodes(cfg.quad_points)
-        return complex(np.mean(kern_I(alpha, r, y, x, q, cfg) * func(x)))
+        return complex(np.mean(kern_I(alpha, r, y, x, q, cfg) * f(x)))
     if alpha == 0:
-        return complex(func(y))
+        return complex(f(y))
     if float(alpha).is_integer():
-        return apply_I_neg(func, int(-alpha), r, y, q, cfg)
+        return apply_I_neg(f, int(-alpha), r, y, q, cfg)
     raise ContourUnsupported("negative non-integer order needs contour deformation")
 
 
@@ -713,7 +684,6 @@ def _qbinom_f(n: int, k: int, q: float) -> float:
 def apply_I_neg(f, g: int, r: complex, y: complex, q: float,
                 cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
     """Order -g branch as the explicit g-step difference operator."""
-    func = _as_callable(f)
     sq = math.sqrt(q)
     total = 0.0 + 0.0j
     for k in range(g + 1):
@@ -728,28 +698,26 @@ def apply_I_neg(f, g: int, r: complex, y: complex, q: float,
             / ((1.0 - q) ** g * poch)
             * lambda_ratio(sq, r, y, shift, q, cfg)
         )
-        total += zeta * complex(func(shift))
+        total += zeta * complex(f(shift))
     return total
 
 
 def apply_I_minus1(f, r: complex, y: complex, q: float,
                    cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
     """First-order difference form of the order -1 operator."""
-    func = _as_callable(f)
     sq = math.sqrt(q)
-    up = complex(func(sq * y)) * lambda_ratio(sq, r, y, sq * y, q, cfg)
-    dn = complex(func(y / sq)) * lambda_ratio(sq, r, y, y / sq, q, cfg)
+    up = complex(f(sq * y)) * lambda_ratio(sq, r, y, sq * y, q, cfg)
+    dn = complex(f(y / sq)) * lambda_ratio(sq, r, y, y / sq, q, cfg)
     return (up - y ** 2 * dn) / ((1.0 - q) * (1.0 - y ** 2))
 
 
 def iterate_I_minus1(f, times: int, r: complex, q: float,
                      cfg: NumericConfig = DEFAULT_CONFIG):
     """Callable computing the times-fold composition of the order -1 operator at a scalar y."""
-    func = _as_callable(f)
     if times == 0:
-        return func
+        return f
 
-    inner = iterate_I_minus1(func, times - 1, r, q, cfg)
+    inner = iterate_I_minus1(f, times - 1, r, q, cfg)
 
     def out(y):
         return apply_I_minus1(inner, r, complex(y), q, cfg)
@@ -808,29 +776,28 @@ def fractional_on_nodes(alpha: float, r: complex, fvals, q: float,
     return head * lam_r * out
 
 
-def group_property_report(alpha: float, beta: float, r: complex, ys, q: float, f=None,
-                          n_inner: int = 512,
+def group_property_report(alpha: float, beta: float, r: complex, ys, q: float,
                           cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     """Composition of two positive orders equals the single combined order.
 
-    The inner application I^beta f is evaluated on the n_inner quadrature
-    nodes themselves (fractional_on_nodes), where its kernel factors as
-    F[i+j] F[j-i] and costs O(n_inner) q-products.  The outer application
-    at each y in ys, off the grid, uses kern_I on the same nodes, and so does
-    the direct I^(alpha+beta) f it is compared with.
+    The input is f(x) = 1 + (x + 1/x)/2.  The inner application I^beta f
+    is evaluated on n_inner = 512 quadrature nodes themselves
+    (fractional_on_nodes), where its kernel factors as F[i+j] F[j-i] and
+    costs O(n_inner) q-products.  The outer application at each y in ys,
+    off the grid, uses kern_I on the same nodes, and so does the direct
+    I^(alpha+beta) f it is compared with.
     """
-    if f is None:
-        f = lambda x: 1.0 + 0.5 * (x + 1.0 / x)  # noqa: E731
-    func = _as_callable(f)
+    f = lambda x: 1.0 + 0.5 * (x + 1.0 / x)  # noqa: E731
+    n_inner = 512
     nodes = unit_nodes(n_inner)
-    inner_vals = fractional_on_nodes(beta, r, func(nodes), q, cfg)
+    inner_vals = fractional_on_nodes(beta, r, f(nodes), q, cfg)
     worst = 0.0
     small = replace(cfg, quad_points=n_inner)
     for y in ys:
         outer = complex(
             np.mean(kern_I(alpha, r, complex(y), nodes, q, small) * inner_vals)
         )
-        direct = apply_I_fractional(func, alpha + beta, r, complex(y), q, small)
+        direct = apply_I_fractional(f, alpha + beta, r, complex(y), q, small)
         worst = max(worst, abs(outer - direct) / max(abs(direct), 1.0))
     report = {"alpha": alpha, "beta": beta, "err": worst, "tol": cfg.tol_loose}
     if worst > cfg.tol_loose:

@@ -21,10 +21,7 @@ def cq_sum(n: int, beta, ctx: QContext) -> Laurent1:
     beta = as_rational(beta)
     q = ctx.q
     ratios = _series_ratios(n, beta, q)
-    out = Laurent1()
-    for k in range(n + 1):
-        out = out + Laurent1.term(n - 2 * k, ratios[k] * ratios[n - k])
-    return out
+    return Laurent1({n - 2 * k: ratios[k] * ratios[n - k] for k in range(n + 1)})
 
 
 def _series_ratios(n: int, beta, q) -> list:
@@ -100,8 +97,4 @@ def cq_to_onevariable(lam, ctx: QContext) -> Laurent1:
     tab = tables(ctx)
     c = cq_sum(n, ctx.t, ctx)
     scale = _ratio((tab.ipoch_q[n],), (tab.ipoch_t[n],))
-    out = Laurent1()
-    for k in range(n + 1):
-        ck = c.coeff(n - 2 * k)
-        out = out + Laurent1.term(lam.l1 + k, scale * ck * tab.tpow(-k))
-    return out
+    return Laurent1({lam.l1 + k: scale * c.coeff(n - 2 * k) * tab.tpow(-k) for k in range(n + 1)})

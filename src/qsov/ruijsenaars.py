@@ -368,15 +368,16 @@ def separation_scale(x, Tx, t: float, xi: complex) -> float:
     return abs(base.y[0] - base.y[1]) / slope if slope > 0.0 else math.inf
 
 
-def richardson_report(x, Tx, t: float, xi: complex, floor: float = 1e-10) -> dict:
+def richardson_report(x, Tx, t: float, xi: complex) -> dict:
     """Halving the step must cut the truncation-dominated residuals 8-fold.
 
     poisson_bracket's stencil is fourth order, so in its asymptotic regime
     a halving divides the residual by 16.  The coarse step is
     min(2e-2, 0.03 * separation_scale).  On random_phase_point draws the
-    coarse residual then lies between 5e-9 and 0.5, far above the floor and
-    rounding, and the step stays in that regime at nearly degenerate points.
-    The report's "tested" says whether the coarse residual cleared the floor.
+    coarse residual then lies between 5e-9 and 0.5, far above the 1e-10 floor
+    and rounding, and the step stays in that regime at nearly degenerate
+    points.  The report's "tested" says whether the coarse residual cleared
+    the floor.
     """
     h = min(2e-2, 0.03 * separation_scale(x, Tx, t, xi))
 
@@ -385,21 +386,21 @@ def richardson_report(x, Tx, t: float, xi: complex, floor: float = 1e-10) -> dic
 
     e0 = max_residual(h)
     e1 = max_residual(h / 2.0)
-    report = {"coarse": e0, "fine": e1, "h": h, "tested": e0 > floor}
+    report = {"coarse": e0, "fine": e1, "h": h, "tested": e0 > 1e-10}
     if report["tested"] and not (e1 <= e0 / 8.0):
         raise TrendViolation(f"step halving did not improve brackets: {report}")
     return report
 
 
-def involutivity_residual(x, Tx, t: float, h: float = 1e-5) -> float:
-    """|{H1, H2}|, with H1 and H2 from one hamiltonians call per stencil point.
+def involutivity_residual(x, Tx, t: float) -> float:
+    """|{H1, H2}| at step 1e-5, with H1 and H2 from one hamiltonians call per stencil point.
 
     Equal to abs(poisson_bracket) of the two scalar functions, bit for bit.
     """
     def h12(xv, Tv):
         return np.array(hamiltonians(xv, Tv, t)[:2], dtype=object)
 
-    H1, H2 = _component_gradients(h12, x, Tx, h)
+    H1, H2 = _component_gradients(h12, x, Tx, 1e-5)
     return abs(_bracket(*H1, *H2))
 
 
@@ -636,11 +637,11 @@ def reduction_map_report(x3amb, Ttld, t: float, tol: float = 1e-8) -> dict:
 # Sampling helpers
 # ---------------------------------------------------------------------------
 
-def random_phase_point(rng, n: int = 2, min_gap: float = 0.25) -> PhasePoint:
-    """Generic point with angular separation and moderate momenta."""
+def random_phase_point(rng, n: int = 2) -> PhasePoint:
+    """Generic point with angular gaps above 0.25 and moderate momenta."""
     while True:
         angles = sorted(rng.uniform(-math.pi + 0.1, math.pi - 0.1) for _ in range(n))
-        if all(b - a > min_gap for a, b in zip(angles, angles[1:])):
+        if all(b - a > 0.25 for a, b in zip(angles, angles[1:])):
             break
     x = tuple(cmath.exp(1j * a) for a in angles)
     Tx = tuple(rng.uniform(0.5, 2.0) for _ in range(n))

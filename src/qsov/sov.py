@@ -100,8 +100,8 @@ def basis(tag: str, nu: Pair, ctx: QContext) -> Laurent2:
 
     The anchor is nu1 for the forward bases (p, pt) and nu2 for the backward
     ones (r, rt); the factor is shared by every label of the same width, and
-    the result shares its coefficient objects.  Results are cached and must
-    not be mutated.
+    the result shares its coefficient objects.  Results are cached and
+    shared.
     """
     forward, _ = _basis_param(tag, ctx)
     anchor = nu.l1 if forward else nu.l2
@@ -462,7 +462,7 @@ def transition_row(kind: str, lam: Pair, ctx: QContext, method: str = "closed") 
 
     The row is a Laurent2 whose exponent nu carries the nu entry (in
     pairs_under order for the closed route): the row the context's
-    tables store, shared, so never mutate it.  Its c view is read-only.
+    tables store, shared with every caller.
 
     kind is one of pi, rho, Q, R or the tilded variants pit, rhot, Qt, Rt;
     method 'closed' uses the product formulas, 'recurrence' builds the row

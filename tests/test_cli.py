@@ -175,6 +175,17 @@ def _int_pair_scalar(n, d=1):
         (["compute", "basis", "--xi", "2/0"], "--xi", "2/0"),
         (["compute", "cpoly", "--beta", "1/x"], "--beta", "1/x"),
         (["factorize", "--lam", "0,1", "--s", "1//2"], "--s", "1//2"),
+        # values that parse but lie out of range
+        (["verify", "qpoly", "--s", "1/2", "--s", "2"], "--s", "2"),
+        (["compute", "cpoly", "--s", "1"], "--s", "1"),
+        (["verify", "sov", "--xi", "0"], "--xi", "0"),
+        (["factorize", "--lam", "0,1", "--xi", "0/3"], "--xi", "0/3"),
+        (["verify", "qpoly", "--g", "1", "--g", "0"], "--g", "0"),
+        (["compute", "cpoly", "--g", "-2"], "--g", "-2"),
+        (["compute", "cpoly", "--lam", "2,1"], "--lam", "2,1"),
+        (["factorize", "--lam", "1,0"], "--lam", "1,0"),
+        (["compute", "basis", "--nu", "3,1"], "--nu", "3,1"),
+        (["compute", "basis", "--nu", "x"], "--nu", "x"),
     ],
 )
 def test_bad_rational_names_flag_and_value(capsys, monkeypatch, argv, flag, value):

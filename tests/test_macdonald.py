@@ -10,13 +10,6 @@ CTX = QContext(s=frac(1, 2), g=1, xi=frac(1))
 CTX2 = QContext(s=frac(1, 3), g=2, xi=frac(3, 2))
 
 
-def test_monomial():
-    assert macdonald.monomial(Pair(0, 0)) == Laurent2.one()
-    assert macdonald.monomial(Pair(0, 1)) == Laurent2({(0, 1): 1, (1, 0): 1})
-    assert macdonald.monomial(Pair(-1, 1)) == Laurent2({(-1, 1): 1, (1, -1): 1})
-    assert macdonald.monomial(Pair(2, 2)) == Laurent2.term(2, 2)
-
-
 def test_macdonald_poly_basics():
     assert macdonald.macdonald_poly(Pair(0, 0), CTX).poly == Laurent2.one()
     assert macdonald.macdonald_poly(Pair(3, 3), CTX).poly == Laurent2.term(3, 3)

@@ -452,15 +452,15 @@ def _peel_reference(p, tag, ctx):
     """
     coeffs = {}
     remainders = []
-    work = p.copy()
+    work = p
     while work:
-        remainders.append(work.copy())
+        remainders.append(work)
         top, neg_lo = max((b, -a) if a <= b else (a, -b) for a, b in work.c)
         pick = Pair(-neg_lo, top)
         element = sov.basis(tag, pick, ctx)
         c = work.coeff(*pick) / element.coeff(*pick)
         coeffs[pick] = coeffs.get(pick, 0) + c
-        work.iadd_scaled(element, -c)
+        work = work - element * c
     return Laurent2(coeffs), remainders
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import itemgetter
@@ -331,6 +332,14 @@ class ContextTables:
         while len(powers) <= m:
             x, y = powers[-1]
             powers.append((x * a, y * b))
+
+    def spow_table(self, k: int, lo: int, hi: int) -> tuple:
+        """_power_table(s^k, lo, hi), its powers of s read from the ipow table."""
+        A, B = max(0, -k * lo, -k * hi), max(0, k * lo, k * hi)
+        self.ipow(A + B)  # grows the table to index A + B
+        powers = self._ipowers
+        m = [powers[A + k * e][0] * powers[B - k * e][1] for e in range(lo, hi + 1)]
+        return m, powers[A][0] * powers[B][1]
 
     def one_minus(self, e: int) -> tuple:
         """1 - s^e as an int pair for any int e; (0, 1) at e = 0."""
@@ -673,15 +682,19 @@ class Laurent2(_Laurent):
     __rmul__ = __mul__
 
     def subs_scale(self, f1, f2) -> "Laurent2":
-        """Substitute x1 -> f1*x1, x2 -> f2*x2 (nonzero rationals)."""
-        if not self._n:
-            return type(self)()
-        lo1 = min(a for a, _ in self._n)
-        lo2 = min(b for _, b in self._n)
-        m1, D1 = _power_table(as_rational(f1), lo1, max(a for a, _ in self._n))
-        m2, D2 = _power_table(as_rational(f2), lo2, max(b for _, b in self._n))
-        nums = {(a, b): v * m1[a - lo1] * m2[b - lo2] for (a, b), v in self._n.items()}
-        return self._make(nums, self._d * D1 * D2)
+        """Substitute x1 -> f1*x1, x2 -> f2*x2 (nonzero rationals); a factor 1 leaves x_j alone."""
+        powers = (None if f == ONE else partial(_power_table, as_rational(f)) for f in (f1, f2))
+        return self.subs_powers(*powers)
+
+    def subs_powers(self, table1, table2) -> "Laurent2":
+        """subs_scale with each factor f as table(lo, hi) = (m, D), f^e = m[e - lo] / D, or None for 1."""
+        nums, den = self._n, self._d
+        for j, table in enumerate((table1, table2)):
+            if table is not None and nums:
+                lo = min(k[j] for k in nums)
+                m, D = table(lo, max(k[j] for k in nums))
+                nums, den = {k: v * m[k[j] - lo] for k, v in nums.items()}, den * D
+        return self if nums is self._n else self._make(nums, den)
 
     def subs_invert_scale(self, cnum) -> "Laurent2":
         """Substitute x_j -> cnum / x_j in both variables."""
@@ -780,11 +793,11 @@ def qshift(p, j: int, s_steps: int, ctx: QContext):
     s_steps = 2 is the plain q-shift T_{q,x_j}; s_steps = 1 shifts by q^(1/2);
     negative counts give inverse shifts.  Exactness is preserved.
     """
-    factor = tables(ctx).spow(s_steps)
+    table = partial(tables(ctx).spow_table, s_steps)
     if j == 0:
-        return p.subs_scale(factor, ONE)
+        return p.subs_powers(table, None)
     if j == 1:
-        return p.subs_scale(ONE, factor)
+        return p.subs_powers(None, table)
     raise ValueError("variable index must be 0 or 1")
 
 

@@ -9,6 +9,7 @@ equation whose spectral parameters are the H-eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 
 from .errors import IdentityViolation, NotPolynomial
@@ -90,8 +91,9 @@ def apply_H1(p: Laurent2, ctx: QContext) -> Laurent2:
     """
     st = ctx.sqrt_t
     sti = ONE / st
-    shift1 = p.subs_scale(ctx.q, ONE)
-    shift2 = p.subs_scale(ONE, ctx.q)
+    q_table = partial(tables(ctx).spow_table, 2)
+    shift1 = p.subs_powers(q_table, None)
+    shift2 = p.subs_powers(None, q_table)
     num = (
         Laurent2({(1, 0): st, (0, 1): -sti}) * shift1
         - Laurent2({(0, 1): st, (1, 0): -sti}) * shift2
@@ -101,7 +103,8 @@ def apply_H1(p: Laurent2, ctx: QContext) -> Laurent2:
 
 def apply_H2(p: Laurent2, ctx: QContext) -> Laurent2:
     """Second Hamiltonian: simultaneous q-shift of both variables."""
-    return p.subs_scale(ctx.q, ctx.q)
+    q_table = partial(tables(ctx).spow_table, 2)
+    return p.subs_powers(q_table, q_table)
 
 
 def check_eigen(lam: Pair, ctx: QContext) -> bool:

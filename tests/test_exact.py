@@ -95,6 +95,27 @@ def test_qshift_is_ring_hom():
         assert qshift(p * r, 0, 1, ctx) == qshift(p, 0, 1, ctx) * qshift(r, 0, 1, ctx)
 
 
+def test_spow_table_matches_power_table():
+    # the s-power tables qshift and the Hamiltonians read equal the tables
+    # _power_table builds from the rational s^k, to the last digit
+    for s in (frac(1, 2), frac(2, 3), frac(3, 5)):
+        tab = exact.tables(QContext(s=s, g=2, xi=frac(3, 2)))
+        for k in (-4, -2, -1, 1, 2, 4):
+            for lo, hi in ((-3, 5), (0, 4), (-6, -1), (2, 7), (0, 0)):
+                assert tab.spow_table(k, lo, hi) == exact._power_table(s ** k, lo, hi), (s, k, lo, hi)
+
+
+def test_qshift_matches_subs_scale():
+    ctx = QContext(s=frac(2, 3), g=2, xi=frac(3, 2))
+    rng = random.Random(7)
+    for _ in range(10):
+        p = random_symmetric(rng, degree=4, terms=4)
+        for steps in (-4, -1, 1, 2):
+            factor = frac(2, 3) ** steps
+            assert qshift(p, 0, steps, ctx) == p.subs_scale(factor, 1)
+            assert qshift(p, 1, steps, ctx) == p.subs_scale(1, factor)
+
+
 def test_divide_exact_examples():
     x1sq_minus = Laurent2({(2, 0): 1, (0, 2): -1})
     diff = Laurent2({(1, 0): 1, (0, 1): -1})
@@ -260,6 +281,9 @@ def test_laurent2_integer_form_matches_fraction_reference(da, db, s, n, f1, f2, 
     ra = _nonzero_terms(da)
     derived = [
         (a.subs_scale(f1, f2), {(i, j): v * f1 ** i * f2 ** j for (i, j), v in ra.items()}),
+        # a factor 1 leaves its variable alone
+        (a.subs_scale(f1, 1), {(i, j): v * f1 ** i for (i, j), v in ra.items()}),
+        (a.subs_scale(1, f2), {(i, j): v * f2 ** j for (i, j), v in ra.items()}),
         (a.subs_invert_scale(f1), {(-i, -j): v * f1 ** (i + j) for (i, j), v in ra.items()}),
         (a.shifted(d, -d), {(i + d, j - d): v for (i, j), v in ra.items()}),
     ]

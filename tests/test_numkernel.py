@@ -298,10 +298,9 @@ def test_check_disk_accepts_arrays():
         nk._check_disk(0.5, np.array([[0.1, 0.2], [0.3, 1.5j]]))
     with pytest.raises(ContourUnsupported):
         nk._check_disk(np.array([0.5]), 1.2)
-    # one output point outside the disk fails the whole broadcast kernel
-    ys = np.array([[cmath.exp(0.7j)], [5.0 + 0j]])
+    # an output point outside the disk fails the kernel
     with pytest.raises(ContourUnsupported):
-        nk.kern_I(0.5, cmath.exp(0.35j), ys, nk.unit_nodes(16), 0.25)
+        nk.kern_I(0.5, cmath.exp(0.35j), 5.0 + 0j, 16, 0.25)
 
 
 @pytest.mark.parametrize("n_inner", (64, 200, 201, 512))
@@ -312,7 +311,7 @@ def test_blocked_group_law_inner_values_match_rows(n_inner):
     fvals = 1.0 + 0.5 * (nodes + 1.0 / nodes)
     for beta in (0.7, 1.0):
         rows = np.array(
-            [np.mean(nk.kern_I(beta, r, complex(y), nodes, q) * fvals) for y in nodes]
+            [np.mean(nk.kern_I(beta, r, complex(y), n_inner, q) * fvals) for y in nodes]
         )
         blocked = nk.fractional_on_nodes(beta, r, fvals, q)
         assert blocked.shape == (n_inner,)
@@ -341,6 +340,10 @@ def test_group_law_kernel_costs_linear_q_products(monkeypatch):
 
 
 _REFLECTION_CS = (0.0, 0.5, -0.3 + 0.4j, 0.99, 0.99j, cmath.rect(0.99, 2.0), cmath.rect(0.7, -1.1))
+#: c on either side of the split between direct factors and the log series
+#: (|c| = 0.5 goes to the series, 0.5000001 is multiplied in directly), and
+#: c = 1, whose zero lies on the grid
+_SPLIT_CS = (0.5000001, 1.0)
 
 
 def _reflection_bound(pairs):
@@ -357,68 +360,139 @@ def _reflection_bound(pairs):
     return 1e-14 * np.maximum(1.0, 0.5 / np.maximum(gap, 1e-300))
 
 
+def _base_growth(q, q0):
+    """How much more rounding error qprod_nodes and the product loop carry at q than at q0.
+
+    The log series of a pair sums terms c'^m / (m (1 - q^m)) with
+    |c'| <= 1/2; since 1 - q^m >= 1 - q, their moduli add up to at most
+    2 ln 2 / (1 - q), and the rounding of each of them, of the FFT over
+    them and of the exp is relative to that sum.  The direct factors run
+    while |c q^k| > 1/2, at most ln(2 |c|) / ln(1/q) <= ln 2 / (1 - q) of
+    them for |c| <= 1, and the reference loop runs K ~ ln(1e16) / ln(1/q)
+    <= 37 / (1 - q) factors, one rounding each.  Every term grows as
+    1 / (1 - q), so a bound set at q0 scales by (1 - q0) / (1 - q).
+    """
+    return (1.0 - q0) / (1.0 - q)
+
+
+def _grid_powers(n, p):
+    """x^p on x = unit_nodes(n), read from the grid by index as qprod_nodes reads it."""
+    return nk.unit_nodes(n)[(p * np.arange(n)) % n]
+
+
 @pytest.mark.parametrize("n", (8, 64, 201, 2048))
 def test_qprod_pair_nodes_matches_direct_products(n):
-    # the reflection holds for odd n too
-    x, q = nk.unit_nodes(n), 0.3
-    for z in (x, x ** 2):
-        for c in _REFLECTION_CS:
-            ref = nk.qprod_inf(c * z, q) * nk.qprod_inf(c / z, q)
-            got = nk.qprod_pair_nodes(c, z, q)
-            bound = _reflection_bound([(c, z)])
-            assert np.all(np.abs(got - ref) <= bound * np.abs(ref)), (n, c)
-            if abs(c) <= 0.7:
-                assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (n, c)
+    # one pair (c x^p, c x^-p; q)_inf from qprod_nodes against the two
+    # products (c z; q)_inf (c/z; q)_inf at the same points z = x^p, in the
+    # numerator and in the denominator; odd n too
+    for q in (0.3, 0.5, 0.9):
+        grow = _base_growth(q, 0.3)
+        for p in (1, 2):
+            z = _grid_powers(n, p)
+            for c in _REFLECTION_CS + _SPLIT_CS:
+                ref = nk.qprod_inf(c * z, q) * nk.qprod_inf(c / z, q)
+                got = nk.qprod_nodes(n, q, num=[(c, p)])
+                bound = grow * _reflection_bound([(c, z)])
+                assert np.all(np.abs(got - ref) <= bound * np.abs(ref)), (n, q, p, c)
+                if abs(c) <= 0.7:
+                    assert np.all(np.abs(got - ref) <= grow * 1e-14 * np.abs(ref)), (n, q, p, c)
+                if abs(c) < 1.0:
+                    inv = nk.qprod_nodes(n, q, den=[(c, p)])
+                    assert np.all(np.abs(inv * ref - 1.0) <= bound), (n, q, p, c)
+        # the zeros of (x, 1/x; q)_inf and (x^2, x^-2; q)_inf on the grid are exact
+        assert nk.qprod_nodes(n, q, num=[(1.0, 1)])[0] == 0.0
+        two = nk.qprod_nodes(n, q, num=[(1.0, 2)])
+        assert two[0] == 0.0 and (n % 2 or two[n // 2] == 0.0)
 
 
 @pytest.mark.parametrize("n", (8, 64, 201, 2048))
 def test_node_grid_weights_match_general_point_weights(n):
-    x, q = nk.unit_nodes(n), 0.25
+    x = nk.unit_nodes(n)
     params = [
         nk.AWParams(0.3, -0.2, 0.1j, 0.4),
         nk.AWParams(0.5 + 0.1j, -0.35j, 0.45, -0.2 + 0.3j),
         nk.AWParams(0.9, cmath.rect(0.95, 1.0), -0.6j, 0.0),
     ]
-    for p, got in zip(params, nk.aw_weights_on_nodes(x, params, q)):
-        ref = nk.aw_weight(x, p, q)
-        bound = _reflection_bound([(1.0, x ** 2)] + [(z, x) for z in p.as_tuple()])
-        assert np.all(np.abs(got - ref) <= bound * np.abs(ref)), (n, p)
-    assert np.allclose(
-        nk.lambda_q_nodes(0.6, cmath.exp(0.35j), x, q),
-        nk.lambda_q(0.6, cmath.exp(0.35j), x, q),
-        rtol=1e-14, atol=0.0,
-    )
+    r = cmath.exp(0.35j)
+    for q in (0.25, 0.5, 0.9):
+        grow = _base_growth(q, 0.25)
+        for p, got in zip(params, nk.aw_weights_on_nodes(n, params, q)):
+            ref = nk.aw_weight(x, p, q)
+            bound = grow * _reflection_bound([(1.0, x ** 2)] + [(z, x) for z in p.as_tuple()])
+            assert np.all(np.abs(got - ref) <= bound * np.abs(ref)), (n, q, p)
+        # lambda_q(0.6, r, x) is the two pairs c = 0.6 r and c = 0.6 / r
+        assert np.allclose(
+            nk.qprod_nodes(n, q, num=[(0.6 * r, 1), (0.6 / r, 1)]),
+            nk.lambda_q(0.6, r, x, q),
+            rtol=grow * 1e-14, atol=0.0,
+        )
 
 
-def _count_array_qprod_inf(monkeypatch):
-    calls = []
-    qprod_inf = nk.qprod_inf
+def _count_products(monkeypatch):
+    """Record the size of every array qprod_inf call and the count of qprod_nodes calls."""
+    arrays, nodes = [], []
+    qprod_inf, qprod_nodes = nk.qprod_inf, nk.qprod_nodes
 
-    def counting(a, q, cfg=CFG):
+    def counting_inf(a, q, cfg=CFG):
         if np.ndim(a):
-            calls.append(np.size(a))
+            arrays.append(np.size(a))
         return qprod_inf(a, q, cfg)
 
-    monkeypatch.setattr(nk, "qprod_inf", counting)
-    return calls
+    def counting_nodes(*args, **kwargs):
+        nodes.append(args[0])
+        return qprod_nodes(*args, **kwargs)
+
+    monkeypatch.setattr(nk, "qprod_inf", counting_inf)
+    monkeypatch.setattr(nk, "qprod_nodes", counting_nodes)
+    return arrays, nodes
 
 
-def test_node_grid_kernels_reflect_q_products(monkeypatch):
-    # each (c x, c/x; q)_inf on the node grid is one array q-product;
-    # evaluating both halves directly took 10 for each of these
-    calls = _count_array_qprod_inf(monkeypatch)
-    nk._aw_quadrature([nk.AWParams(0.3, -0.2, 0.1j, 0.4)], 0.25, 2048, CFG)
-    assert 0 < len(calls) <= 5
-    calls.clear()
+def test_node_grid_kernels_take_one_log_domain_evaluation(monkeypatch):
+    # every weight and kernel on the node grid is one qprod_nodes call, and
+    # no array reaches qprod_inf; the reflected form took one array
+    # q-product per pair, 5 per weight and per kernel
+    arrays, nodes = _count_products(monkeypatch)
+    weight = nk.AWParams(0.3, -0.2, 0.1j, 0.4)
+    nk._aw_quadrature([weight], 0.25, 2048, CFG)
+    assert (arrays, nodes) == ([], [2048])
+    nodes.clear()
+    nk._aw_quadrature([weight] * 3, 0.25, 2048, CFG)
+    assert (arrays, nodes) == ([], [2048] * 3)
+    nodes.clear()
     ctx = QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
     q, t = float(ctx.q), float(ctx.t)
     y1, yp = t * cmath.exp(-0.6j), t * cmath.exp(-0.85j)
     nk.apply_M_xi_numeric([sov.basis("p", Pair(0, 1), ctx)], ctx.g, q, 1.5, y1, yp)
-    assert 0 < len(calls) <= 5
-    # the common numerator is shared by a list of weights
-    calls.clear()
-    nk._aw_quadrature([nk.AWParams(0.3, -0.2, 0.1j, 0.4)] * 3, 0.25, 2048, CFG)
-    assert len(calls) == 1 + 3 * 4
+    assert (arrays, nodes) == ([], [CFG.quad_points])
+    nodes.clear()
+    # fractional_on_nodes: 1/F, the output factor lambda_q(sqrt(q), r, y)
+    # and the node-side weight
+    fvals = np.ones(512, dtype=complex)
+    nk.fractional_on_nodes(0.7, cmath.exp(0.35j), fvals, 0.25)
+    assert (arrays, nodes) == ([], [512] * 3)
+
+
+#: numkernel families whose integrands are built on the node grid by qprod_nodes
+_NODE_GRID_FAMILIES = (
+    "circle-integral", "integral-symmetry", "kernel-eigenaction", "integral-vs-algebraic-map",
+    "product-formula", "orthogonality", "fractional-power-action", "fractional-group-law",
+)
+
+
+def test_node_grid_residuals_stay_at_rounding_level(monkeypatch):
+    # Their tolerances are 1e-10 and 1e-6, loose enough to pass a truncated
+    # log series or a dropped direct factor in qprod_nodes; the residuals of
+    # the default run are at most 3.2e-15, so hold them to 1e-14.
+    # and no array on the node grid, or anywhere else, reaches qprod_inf
+    arrays, _ = _count_products(monkeypatch)
+    report = suites.run_suite("numkernel")
+    assert arrays == []
+    seen = set()
+    for case in report["cases"]:
+        if case["paper_eq"] in _NODE_GRID_FAMILIES:
+            seen.add(case["paper_eq"])
+            assert case["status"] == "pass" and case["residual"] <= 1e-14, case
+    assert seen == set(_NODE_GRID_FAMILIES)
 
 
 def test_group_law_kernel_matches_mpmath_quadrature():
@@ -471,13 +545,13 @@ def test_orthogonality():
 
 def test_product_and_orthogonality_cases_share_their_weights(monkeypatch):
     calls = []
-    original = nk.qprod_pair_nodes
+    original = nk.qprod_nodes
 
     def counting(*args, **kwargs):
         calls.append(slug)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(nk, "qprod_pair_nodes", counting)
+    monkeypatch.setattr(nk, "qprod_nodes", counting)
     monkeypatch.setattr(nk, "_node_weights", {})
     cases = suites._numeric_cases(CFG, 0)
     for _, slug, fn, args in cases:
@@ -485,8 +559,8 @@ def test_product_and_orthogonality_cases_share_their_weights(monkeypatch):
             fn(*args)
     # 5 weights for the 30 product cases, one for the 15 orthogonality cases
     assert sum(1 for s in cases if s[1] == "product-formula") == 30
-    assert calls.count("product-formula") <= 25
-    assert calls.count("orthogonality") <= 2
+    assert calls.count("product-formula") == 5
+    assert calls.count("orthogonality") == 1
     assert len(nk._node_weights) == 6
     for weight in nk._node_weights.values():
         with pytest.raises(ValueError):

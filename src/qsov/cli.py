@@ -87,9 +87,12 @@ def _inputs(args) -> dict:
             "xi_values": tuple(args.xi) if args.xi else suites.DEFAULT_XI,
         }
         suites.default_contexts(**grid)
-        NumericConfig(
-            quad_points=args.quad_points, tol_tight=args.tol_tight, tol_loose=args.tol_loose
-        )
+        # argparse stores --quad-points, --tol-tight and --tol-loose under the field names
+        for name in ("quad_points", "tol_tight", "tol_loose"):
+            accepted, ok = NumericConfig.ACCEPTS[name]
+            value = getattr(args, name)
+            if not ok(value):
+                raise _bad("--" + name.replace("_", "-"), accepted, value)
         return grid
     ctx = QContext(**{flag[2:]: _context_value(flag, getattr(args, flag[2:])) for flag in _CONTEXT_FLAGS})
     inputs = {"ctx": ctx, "lam": _pair("--lam", args.lam)}

@@ -9,6 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
+
+
+def _finite_positive(value) -> bool:
+    # NaN and inf would pass every err > tol check
+    return 0 < value < math.inf
 
 
 @dataclass(frozen=True)
@@ -18,12 +24,16 @@ class NumericConfig:
     tol_tight: float = 1e-10
     tol_loose: float = 1e-6
 
+    #: What each field accepts, and the test its value must pass.
+    ACCEPTS: ClassVar[dict] = {
+        "quad_points": ("at least 256", lambda value: value >= 256),
+        "prod_cutoff": ("in (0, 1e-14]", lambda value: 0 < value <= 1e-14),
+        "tol_tight": ("finite and positive", _finite_positive),
+        "tol_loose": ("finite and positive", _finite_positive),
+    }
+
     def __post_init__(self):
-        if self.quad_points < 256:
-            raise ValueError("quad_points must be at least 256")
-        if not (0 < self.prod_cutoff <= 1e-14):
-            raise ValueError("prod_cutoff must lie in (0, 1e-14]")
-        for tol in (self.tol_tight, self.tol_loose):
-            # NaN and inf would pass every err > tol check
-            if not (0 < tol < math.inf):
-                raise ValueError("tolerances must be finite and positive")
+        for name, (accepted, ok) in self.ACCEPTS.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {accepted}, got {value!r}")

@@ -23,6 +23,11 @@ relative error in the product.  The suites use q <= 0.4 on the grid.
 Against the product loop, the relative error (scaled by the distance of
 each factor from zero) is about 4e-15 at q = 0.3 and 3e-14 at q = 0.9.
 The quadrature route and the closed forms thus share no product code.
+
+A quadrature against an exact input reads its coefficients against the
+kernel's DFT moments mean(kern x^-k), one FFT per kernel, since x^k on the
+grid depends only on k mod n.  qprod_ratio takes stacked pairs, and its
+scratch stays at _RATIO_BLOCK factors.
 """
 
 from __future__ import annotations
@@ -105,56 +110,52 @@ def qprod_inf(a, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
 
 
 def qpoch_n(a, q: float, n: int):
-    """Finite (a; q)_n for floats/arrays, n >= 0."""
-    arr = np.asarray(a, dtype=complex)
-    out = np.ones_like(arr)
+    """Finite (a; q)_n, n >= 0: a complex for a scalar a, an array for an array a.
+
+    One expression serves both, so a scalar runs plain complex arithmetic; (a; q)_0 is 1.
+    """
+    out = 1.0 + 0.0j
     for k in range(n):
-        out = out * (1.0 - arr * q ** k)
-    return out if arr.shape else complex(out)
+        out = out * (1.0 - a * q ** k)
+    return out
 
 
-#: Factors per numpy block in qprod_ratio; bounds its scratch arrays to a few kB.
+#: Factors per numpy block of qprod_ratio over all rows; bounds its scratch to a few kB.
 _RATIO_BLOCK = 1024
 
 
-def qprod_ratio(a: complex, b: complex, q: float,
-                cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """(a;q)_inf / (b;q)_inf as a product of factor ratios, one block at a time.
+def qprod_ratio(a, b, q: float, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
+    """prod_i (a_i;q)_inf / (b_i;q)_inf for equal-length sequences (or scalars) a, b.
 
-    Stable when the individual products overflow (large arguments with q
-    close to 1): each factor ratio tends to 1.  The powers q^k are running
-    products and the ratios are multiplied in order, as in a
-    factor-by-factor loop, so real arguments give that loop's result to
-    the last bit.
+    A product of factor ratios, stable when the products overflow (large
+    arguments, q near 1).  K comes from the largest modulus; each block of
+    running powers q^k serves every pair, a row each, with _RATIO_BLOCK
+    factors over all rows and at least one per row.  Ratios are multiplied
+    row by row in order, so one real pair gives the factor-by-factor loop's
+    result to the last bit.
     """
-    amax = max(abs(a), abs(b))
-    K = _trunc_order(amax, q, cfg.prod_cutoff)
+    a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
+    K = _trunc_order(float(max(abs(a).max(), abs(b).max())), q, cfg.prod_cutoff)
+    width = max(1, _RATIO_BLOCK // len(a))
+    steps = np.full(min(width, K), q)
     out = 1.0 + 0.0j
     qk = 1.0
-    for start in range(0, K, _RATIO_BLOCK):
-        steps = np.full(min(_RATIO_BLOCK, K - start), q)
+    for start in range(0, K, width):
         steps[0] = qk
-        qks = np.cumprod(steps)
+        qks = steps[:K - start].cumprod()
         den = 1.0 - b * qks
-        if not np.all(den):
+        if not den.all():
             raise ContourUnsupported("pole in product ratio")
-        out = complex(np.prod((1.0 - a * qks) / den, dtype=complex, initial=out))
+        out = complex(((1.0 - a * qks) / den).prod(dtype=complex, initial=out))
         qk = qks[-1] * q
     return out
 
 
 def lambda_ratio(nu: complex, r: complex, y1: complex, y2: complex, q: float,
                  cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """Four-fold product ratio Lambda(nu; r, y1) / Lambda(nu; r, y2)."""
-    out = 1.0 + 0.0j
-    for a, b in (
-        (nu * r * y1, nu * r * y2),
-        (nu * r / y1, nu * r / y2),
-        (nu * y1 / r, nu * y2 / r),
-        (nu / (r * y1), nu / (r * y2)),
-    ):
-        out *= qprod_ratio(a, b, q, cfg)
-    return out
+    """Four-fold product ratio Lambda(nu; r, y1) / Lambda(nu; r, y2), as one qprod_ratio call."""
+    a, b = ([nu * r * y, nu * r / y, nu * y / r, nu / (r * y)] for y in (y1, y2))
+    return qprod_ratio(a, b, q, cfg)
 
 
 def lambda_q(nu: complex, x, y, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
@@ -431,17 +432,19 @@ def apply_M_xi_numeric(pols, g: int, q: float, xi: complex, y1: complex, y_plus:
     The argument of the input polynomial follows the kernel's substitution
     rule, so the x1*x2 scaling comes out automatically.
     The kernel is kern_mab with alpha = beta = g, output point y_minus and
-    reference point y_plus / t; the input is evaluated on the whole node
-    array at once.  The kernel does not depend on the input, so it is built
-    once for the sequence pols; the values come back in the order of pols.
+    reference point y_plus / t, built once for the sequence pols, whose
+    values come back in order.  At (scale x, scale / x) a term c x1^a x2^b
+    is c scale^(a+b) x^(a-b), and its trapezoid sum against the kernel is
+    c scale^(a+b) m[(b - a) mod n], with m[k] = mean(kern x^-k) the DFT
+    moments: the node-array sum up to rounding, aliasing included.
     """
+    n = cfg.quad_points
     t = q ** g
-    y_minus = y1 / y_plus
-    z = unit_nodes(cfg.quad_points)
-    kern = kern_mab(y_plus / t, y_minus, cfg.quad_points, g, g, q, cfg)
+    kern = kern_mab(y_plus / t, y1 / y_plus, n, g, g, q, cfg)
+    m = np.fft.fft(kern, norm="forward").tolist()
     scale = xi * y_plus / math.sqrt(t)
-    u, v = scale * z, scale / z
-    return [complex(np.mean(kern * p.evaluate(u, v))) for p in pols]
+    return [complex(sum(float(c) * scale ** (a + b) * m[(b - a) % n] for (a, b), c in p.c.items()))
+            for p in pols]
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +452,14 @@ def apply_M_xi_numeric(pols, g: int, q: float, xi: complex, y1: complex, y_plus:
 # ---------------------------------------------------------------------------
 
 def cq_numeric(n: int, beta: float, q: float, x):
-    """C_n evaluated at complex x (the circle variable), vectorized."""
-    x = np.asarray(x, dtype=complex)
+    """C_n at the circle variable x: a scalar for a scalar x, an array for an array."""
     ratios = [1.0]
     pb, pq = 1.0, 1.0
     for k in range(1, n + 1):
         pb *= 1.0 - beta * q ** (k - 1)
         pq *= 1.0 - q ** k
         ratios.append(pb / pq)
-    out = np.zeros_like(x)
-    for k in range(n + 1):
-        out = out + ratios[k] * ratios[n - k] * x ** (n - 2 * k)
-    return out if x.shape else complex(out)
+    return sum(ratios[k] * ratios[n - k] * x ** (n - 2 * k) for k in range(n + 1))
 
 
 #: Node-grid weights shared by the checks that integrate against them, keyed by

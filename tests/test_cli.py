@@ -160,6 +160,28 @@ def test_bad_flag_value_is_usage_error(capsys, argv):
     assert err.splitlines()[-1].startswith("qsov: error: ")
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--quad-points", "100", "--quad-points must be at least 256, got '100'"),
+        ("--tol-tight", "nan", "--tol-tight must be finite and positive, got 'nan'"),
+        ("--tol-loose", "inf", "--tol-loose must be finite and positive, got 'inf'"),
+        ("--tol-tight", "-1e-3", "--tol-tight must be finite and positive, got '-0.001'"),
+    ],
+)
+def test_numeric_flags_name_themselves(capsys, monkeypatch, flag, value, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_suite must not start")
+
+    monkeypatch.setattr(cli.suites, "run_suite", no_run)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "numkernel", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [f"qsov: error: {message}"]
+
+
 def _int_pair_scalar(n, d=1):
     """A scalar backend that takes int pairs only: a stand-in for one that reads strings unlike Fraction."""
     assert type(n) is int and type(d) is int

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qsov import numkernel as nk
 from qsov import sov, suites
 from qsov.errors import ContourUnsupported, ToleranceExceeded, TrendViolation
-from qsov.exact import Pair, QContext, frac
+from qsov.exact import Laurent2, Pair, QContext, frac
 
 CFG = nk.DEFAULT_CONFIG
 
@@ -147,6 +147,48 @@ def test_qprod_ratio_pole(monkeypatch, block, b):
     monkeypatch.setattr(nk, "_RATIO_BLOCK", block)
     with pytest.raises(ContourUnsupported, match="pole"):
         nk.qprod_ratio(0.3, b, 0.5)
+
+
+@pytest.mark.parametrize("block", [nk._RATIO_BLOCK, 2])
+def test_qprod_ratio_pole_in_stacked_pair(monkeypatch, block):
+    # the third of four pairs has 1 - 4 q^2 = 0 at q = 1/2; with two factors
+    # per block over four rows each row still takes one factor per step
+    monkeypatch.setattr(nk, "_RATIO_BLOCK", block)
+    with pytest.raises(ContourUnsupported, match="pole"):
+        nk.qprod_ratio([0.3, 0.2j, 0.1, -0.4], [0.5, 0.3, 4.0, 0.2], 0.5)
+
+
+def test_stacked_pairs_truncate_at_the_largest_modulus():
+    # K from the pair of modulus 2e-6 would leave out 0.9 q^k terms of about 1e-11
+    a, b, q = [1e-6, 0.9], [2e-6, -0.8], 0.5
+    ref = _qprod_ratio_scalar(a[0], b[0], q) * _qprod_ratio_scalar(a[1], b[1], q)
+    assert abs(nk.qprod_ratio(a, b, q) - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+@pytest.mark.parametrize("r", [0.3 + 0.0j, 0.3 + 0.1j])
+def test_lambda_ratio_matches_four_scalar_loops(q, r):
+    nu, y = math.sqrt(q), 0.5 + 0.0j
+    pairs = _classical_limit_pairs(q, r, y)
+    for y2, four in ((nu * y, pairs[:4]), (y / nu, pairs[4:])):
+        ref = math.prod((_qprod_ratio_scalar(a, b, q) for a, b in four), start=1.0 + 0.0j)
+        val = nk.lambda_ratio(nu, r, y, y2, q)
+        assert type(val) is complex
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+def test_scalar_q_work_stays_scalar():
+    nodes = nk.unit_nodes(256)
+    for z in (0.4 + 0.3j, cmath.exp(0.7j)):
+        assert type(nk.qpoch_n(z, 0.25, 3)) is complex
+        assert type(nk.cq_numeric(3, 0.5, 0.25, z)) is complex
+        # the scalar values are the array values at the same point
+        at = nk.qpoch_n(np.array([z]), 0.25, 3)
+        assert isinstance(at, np.ndarray) and abs(nk.qpoch_n(z, 0.25, 3) - at[0]) <= 1e-15
+        at = nk.cq_numeric(3, 0.5, 0.25, np.array([z]))
+        assert isinstance(at, np.ndarray) and abs(nk.cq_numeric(3, 0.5, 0.25, z) - at[0]) <= 1e-15
+    assert nk.qpoch_n(nodes, 0.25, 2).shape == nodes.shape
+    assert nk.cq_numeric(2, 0.5, 0.25, nodes).shape == nodes.shape
 
 
 def test_qprod_ratio_block_size_does_not_change_result(monkeypatch):
@@ -288,6 +330,60 @@ def test_separating_integral_on_a_sequence_matches_single_calls():
         [single] = nk.apply_M_xi_numeric([pol], ctx.g, q, xi, y1, yp)
         assert isinstance(single, complex)
         assert val == single
+
+
+def _mxi_grid(g, q, xi, y1, yp, n):
+    """(kernel, scale, nodes) of apply_M_xi_numeric: the input is read at (scale x, scale / x)."""
+    t = q ** g
+    kern = nk.kern_mab(yp / t, y1 / yp, n, g, g, q, CFG)
+    return kern, xi * yp / math.sqrt(t), nk.unit_nodes(n)
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_moment_quadrature_matches_node_sum(n):
+    ctx = QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
+    q, t, xi = float(ctx.q), float(ctx.t), float(ctx.xi)
+    y1, yp = t * cmath.exp(-1.6j), t * cmath.exp(-0.4j)
+    pols = [sov.basis("p", nu, ctx) for nu in (Pair(0, 0), Pair(0, 1), Pair(-1, 1), Pair(0, 2))]
+    kern, scale, x = _mxi_grid(ctx.g, q, xi, y1, yp, n)
+    cfg = nk.NumericConfig(quad_points=n)
+    for pol, val in zip(pols, nk.apply_M_xi_numeric(pols, ctx.g, q, xi, y1, yp, cfg)):
+        ref = complex(np.mean(kern * pol.evaluate(scale * x, scale / x)))
+        assert abs(val - ref) <= 1e-14 * abs(ref), pol
+
+
+def test_moment_quadrature_aliases_as_the_node_grid_does():
+    # on 256 nodes x^256 = 1 and x^(+-257) = x^(+-1), so these terms read the
+    # moments 0, n - 1 and 1, which are of order one
+    n, ctx = 256, QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
+    q, t, xi = float(ctx.q), float(ctx.t), float(ctx.xi)
+    y1, yp = t * cmath.exp(-1.6j), t * cmath.exp(-0.4j)
+    pol = Laurent2({(0, 0): 1, (128, -128): frac(-2, 3), (129, -128): frac(5, 7), (-129, 128): 3})
+    [val] = nk.apply_M_xi_numeric([pol], ctx.g, q, xi, y1, yp, nk.NumericConfig(quad_points=n))
+    kern, scale, x = _mxi_grid(ctx.g, q, xi, y1, yp, n)
+    # numpy's 129th power of a node is off by up to 5e-14 (against a 40-digit
+    # sum), so the node-array sum holds to 1e-13; with x^(a-b) read from the
+    # grid by index the same sum holds to 1e-14
+    ref = complex(np.mean(kern * pol.evaluate(scale * x, scale / x)))
+    assert abs(val - ref) <= 1e-13 * abs(ref)
+    j = np.arange(n)
+    by_index = sum(float(c) * scale ** (a + b) * x[j * (a - b) % n] for (a, b), c in pol.c.items())
+    ref = complex(np.mean(kern * by_index))
+    assert abs(val - ref) <= 1e-14 * abs(ref)
+
+
+def test_numkernel_suite_passes_no_array_to_laurent_evaluate(monkeypatch):
+    arrays = []
+    evaluate = Laurent2.evaluate
+
+    def recording(self, z1, z2):
+        if np.ndim(z1) or np.ndim(z2):
+            arrays.append(np.shape(z1))
+        return evaluate(self, z1, z2)
+
+    monkeypatch.setattr(Laurent2, "evaluate", recording)
+    report = suites.run_suite("numkernel")
+    assert report["status"] == "pass" and arrays == []
 
 
 def test_check_disk_accepts_arrays():

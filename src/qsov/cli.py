@@ -288,10 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--s", action="append", help="grid value for s (repeatable)")
     verify.add_argument("--g", action="append", type=int, help="grid value for g")
     verify.add_argument("--xi", action="append", help="grid value for xi")
-    verify.add_argument("--lmax", type=int, default=6, help="label bound for exact grids")
-    verify.add_argument("--quad-points", type=int, default=2048)
-    verify.add_argument("--tol-tight", type=float, default=1e-10)
-    verify.add_argument("--tol-loose", type=float, default=1e-6)
+    verify.add_argument("--lmax", type=int, default=suites.DEFAULT_LMAX,
+                        help="label bound for exact grids")
+    verify.add_argument("--quad-points", type=int, default=NumericConfig.quad_points)
+    verify.add_argument("--tol-tight", type=float, default=NumericConfig.tol_tight)
+    verify.add_argument("--tol-loose", type=float, default=NumericConfig.tol_loose)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--workers", type=int, default=1)
     verify.add_argument("--json", action="store_true", help="emit the JSON report")

@@ -268,13 +268,13 @@ def _ratio(up, down):
 class ContextTables:
     """What the exact layer memoizes for one context, indexed by int where it can be.
 
-    spow(m) is s^m for any int m, and qpow(k), tpow(k) are q^k and t^k from
-    it.  With s = a/b in lowest terms, ipow(e) is s^e as the int pair
-    (a^e, b^e) (swapped for e < 0), one_minus(e) is 1 - s^e as an int pair
-    and xipow(k) is xi^k as one.  ipoch_q, ipoch_t, ipoch_tq and ipoch_tt are
-    the _IntPochArray arrays of q, t, t q and t^2, one array per base (at
-    g = 1, t is q and t q is t^2).  Every int pair has a positive denominator
-    and is not reduced.
+    With s = a/b in lowest terms, ipow(e) is s^e as the int pair (a^e, b^e)
+    (swapped for e < 0), the one table of powers of s: spow(m) is s^m for
+    any int m as a scalar, and qpow(k), tpow(k) are q^k and t^k from it.
+    one_minus(e) is 1 - s^e as an int pair and xipow(k) is xi^k as one.
+    ipoch_q, ipoch_t, ipoch_tq and ipoch_tt are the _IntPochArray arrays of
+    q, t, t q and t^2, one array per base (at g = 1, t is q and t q is t^2).
+    Every int pair has a positive denominator and is not reduced.
 
     The dicts are filled by the modules named: factors (sov: per-width basis
     factors by tag), multipliers (sov: (exponent, width) -> eigen-multiplier),
@@ -285,8 +285,6 @@ class ContextTables:
 
     def __init__(self, ctx: QContext):
         self.ctx = ctx
-        self._up = [ONE]  # _up[m] = s^m
-        self._down = [ONE]  # _down[m] = s^-m
         self._ab = _ints(ctx.s)
         self._ipowers = [(1, 1)]  # _ipowers[m] = (a^m, b^m)
         self._xi = _ints(ctx.xi)
@@ -301,14 +299,8 @@ class ContextTables:
         self.separated = {}
 
     def spow(self, m: int):
-        """s^m for any int m."""
-        if m >= 0:
-            powers, step = self._up, self.ctx.s
-        else:
-            powers, step, m = self._down, ONE / self.ctx.s, -m
-        while len(powers) <= m:
-            powers.append(powers[-1] * step)
-        return powers[m]
+        """s^m for any int m, read from the ipow table."""
+        return frac(*self.ipow(m))
 
     def qpow(self, k: int):
         """q^k for any int k."""

@@ -5,10 +5,10 @@ periodic on |x| = 1, so the uniform trapezoid rule converges spectrally.
 Kernel parameters are required to stay strictly inside the unit disk (the
 undeformed contour); anything else raises ContourUnsupported.
 
-Two routines evaluate q-products.  qprod_inf is the product loop, for
-scalars and for points off the node grid: the closed forms, aw_weight,
-_weight_circle, psi_power and lambda_q at an output point.  It stops once
-|a| q^K is below cfg.prod_cutoff.
+Two routines evaluate q-products, each for one input form.  qprod_inf is
+the product loop for a scalar, in plain complex arithmetic: the closed forms
+and aw_weight, _weight_circle, psi_power and lambda_q at a point off the
+node grid.  It stops once |a| q^K is below cfg.prod_cutoff.
 
 qprod_nodes builds every weight and kernel on the node grid
 x = unit_nodes(n), in the log domain.  It uses the expansion
@@ -71,42 +71,20 @@ def _trunc_order(a_max: float, q: float, cutoff: float) -> int:
     return max(k, 1)
 
 
-def qprod_inf(a, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
-    """(a; q)_inf, truncated at |a| q^K < prod_cutoff.  Accepts scalars or arrays.
+def qprod_inf(a, q: float, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
+    """(a; q)_inf for a scalar a, truncated at |a| q^K < prod_cutoff.
 
-    A Python or numpy scalar runs a plain complex loop.  An array runs the K
-    factors through two preallocated buffers, allocating nothing per factor.
-    Each factor is 1 - a q^k and the factors are multiplied in order, so
-    each form gives the values of the loop out = out * (1 - a q^k) on the
-    same input to the last bit.  A complex scalar and a one-element array of
-    it may differ in the last bits: numpy's complex array multiply may fuse
-    multiply-adds, Python's complex multiply does not.
+    A plain complex loop; complex() refuses an array, whose node-grid
+    products are qprod_nodes' work.
     """
-    if isinstance(a, (int, float, complex, np.number)):
-        a = complex(a)
-        K = _trunc_order(abs(a), q, cfg.prod_cutoff)
-        out = 1.0 + 0.0j
-        qk = 1.0
-        for _ in range(K):
-            out *= 1.0 - a * qk
-            qk *= q
-        return out
-    arr = np.asarray(a, dtype=complex)
-    amax = float(np.max(np.abs(arr))) if arr.size else 0.0
-    K = _trunc_order(amax, q, cfg.prod_cutoff)
-    out = np.ones_like(arr)
-    nxt = np.empty_like(arr)
-    tmp = np.empty_like(arr)
+    a = complex(a)
+    K = _trunc_order(abs(a), q, cfg.prod_cutoff)
+    out = 1.0 + 0.0j
     qk = 1.0
     for _ in range(K):
-        np.multiply(arr, -qk, out=tmp)
-        tmp += 1.0
-        # not in place: for one element numpy's in-place complex product can
-        # round differently from the out-of-place one
-        np.multiply(out, tmp, out=nxt)
-        out, nxt = nxt, out
+        out *= 1.0 - a * qk
         qk *= q
-    return out if arr.shape else complex(out)
+    return out
 
 
 def qpoch_n(a, q: float, n: int):
@@ -160,8 +138,6 @@ def lambda_ratio(nu: complex, r: complex, y1: complex, y2: complex, q: float,
 
 def lambda_q(nu: complex, x, y, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
     """Four-fold product (nu*x*y, nu*x/y, nu*y/x, nu/(x*y); q)_inf."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
     return (
         qprod_inf(nu * x * y, q, cfg)
         * qprod_inf(nu * x / y, q, cfg)
@@ -245,11 +221,10 @@ def qprod_nodes(n: int, q: float, num=(), den=(), cfg: NumericConfig = DEFAULT_C
     return np.concatenate((half, half[n - h:0:-1]))
 
 
-def aw_weight(x, params: AWParams, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
+def aw_weight(x, params: AWParams, q: float, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
     """w(x; a, b, c, d): reflexive weight whose circle integral has a closed form."""
-    x = np.asarray(x, dtype=complex)
     num = qprod_inf(x ** 2, q, cfg) * qprod_inf(x ** -2, q, cfg)
-    den = np.ones_like(x)
+    den = 1.0 + 0.0j
     for z in params.as_tuple():
         den = den * qprod_inf(z * x, q, cfg) * qprod_inf(z / x, q, cfg)
     return num / den
@@ -264,18 +239,9 @@ def aw_closed_form(params: AWParams, q: float, cfg: NumericConfig = DEFAULT_CONF
     return complex(num / den)
 
 
-def aw_weights_on_nodes(n: int, params_seq, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
-    """aw_weight(x, p, q) for each p in params_seq, on the node grid x = unit_nodes(n).
-
-    A generator; each weight is one qprod_nodes call.  aw_weight stays the
-    weight at a general point.
-    """
-    for params in params_seq:
-        yield qprod_nodes(n, q, [(1.0, 2)], [(z, 1) for z in params.as_tuple()], cfg)
-
-
-def _aw_quadrature(params_seq, q: float, n_nodes: int, cfg: NumericConfig) -> list:
-    return [complex(np.mean(w)) for w in aw_weights_on_nodes(n_nodes, params_seq, q, cfg)]
+def aw_weight_on_nodes(n: int, params: AWParams, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
+    """aw_weight on the node grid x = unit_nodes(n), as one qprod_nodes call."""
+    return qprod_nodes(n, q, [(1.0, 2)], [(z, 1) for z in params.as_tuple()], cfg)
 
 
 def aw_integral_report(params_seq, q: float, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
@@ -286,7 +252,8 @@ def aw_integral_report(params_seq, q: float, cfg: NumericConfig = DEFAULT_CONFIG
     """
     if not (0 < q < 1):
         raise ContourUnsupported("base must satisfy 0 < q < 1")
-    values = _aw_quadrature(params_seq, q, cfg.quad_points, cfg)
+    values = [complex(np.mean(aw_weight_on_nodes(cfg.quad_points, params, q, cfg)))
+              for params in params_seq]
     errs = []
     for params, quad in zip(params_seq, values):
         closed = aw_closed_form(params, q, cfg)
@@ -300,21 +267,13 @@ def aw_integral_report(params_seq, q: float, cfg: NumericConfig = DEFAULT_CONFIG
             "tol": cfg.tol_tight}
 
 
-def aw_integral(params: AWParams, q: float, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
-    """Quadrature of w(x)/x over |x|=1 divided by 2*pi*i, checked against the closed form.
-
-    Several weights at one q go through aw_integral_report.
-    """
-    return aw_integral_report([params], q, cfg)["values"][0]
-
-
 def aw_convergence_report(params: AWParams, q: float, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     """Error vs node count must improve at least 4x per doubling until roundoff."""
     closed = aw_closed_form(params, q, cfg)
     errors = []
     n = 8
     while n <= 256:
-        [quad] = _aw_quadrature([params], q, n, cfg)
+        quad = complex(np.mean(aw_weight_on_nodes(n, params, q, cfg)))
         errors.append(abs(quad - closed) / abs(closed))
         n *= 2
     ratios = []
@@ -462,27 +421,20 @@ def cq_numeric(n: int, beta: float, q: float, x):
     return sum(ratios[k] * ratios[n - k] * x ** (n - 2 * k) for k in range(n + 1))
 
 
-#: Node-grid weights shared by the checks that integrate against them, keyed by
-#: what determines each one; the oldest is dropped beyond _NODE_WEIGHTS_MAX.
-_node_weights: dict = {}
-_NODE_WEIGHTS_MAX = 16
+@lru_cache(maxsize=16)
+def _node_weight(build, *args):
+    """build(*args), a node-grid weight built once per argument tuple and read-only.
 
-
-def _node_weight(key, build):
-    """The weight build() returns, built once per key and read-only."""
-    weight = _node_weights.get(key)
-    if weight is None:
-        weight = build()
-        weight.flags.writeable = False
-        if len(_node_weights) >= _NODE_WEIGHTS_MAX:
-            del _node_weights[next(iter(_node_weights))]
-        _node_weights[key] = weight
+    The checks that integrate against one weight for every degree share it;
+    the cache holds the 16 most recently used.
+    """
+    weight = build(*args)
+    weight.flags.writeable = False
     return weight
 
 
 def _weight_circle(x, beta: float, q: float, cfg: NumericConfig):
     """w(.; beta) continued off the circle: (x^2, x^-2;q)inf / (b x^2, b x^-2;q)inf."""
-    x = np.asarray(x, dtype=complex)
     return (
         qprod_inf(x ** 2, q, cfg)
         * qprod_inf(x ** -2, q, cfg)
@@ -527,10 +479,7 @@ def product_formula_check(n: int, theta: float, phi: float, q: float, beta: floa
         raise ContourUnsupported("the product kernel needs 0 < beta < 1")
     params, head = _product_kernel(theta, phi, q, beta, cfg)
     x = unit_nodes(cfg.quad_points)
-    weight = _node_weight(
-        ("product", theta, phi, q, beta, cfg),
-        lambda: next(aw_weights_on_nodes(cfg.quad_points, [params], q, cfg)),
-    )
+    weight = _node_weight(aw_weight_on_nodes, cfg.quad_points, params, q, cfg)
     integral = 0.5 * head * np.mean(weight * cq_numeric(n, beta, q, x))
     lhs = cq_numeric(n, beta, q, cmath.exp(1j * theta)) * cq_numeric(
         n, beta, q, cmath.exp(1j * phi)
@@ -555,7 +504,7 @@ def kernel_series_check(theta: float, phi: float, psi: float, q: float, beta: fl
     stripped, which keeps the comparison finite at the interval endpoints.
     """
     params, head_closed = _product_kernel(theta, phi, q, beta, cfg)
-    closed = head_closed * complex(aw_weight(cmath.exp(1j * psi), params, q, cfg))
+    closed = head_closed * aw_weight(cmath.exp(1j * psi), params, q, cfg)
     head_series = complex(
         qprod_inf(q, q, cfg)
         * qprod_inf(beta ** 2, q, cfg)
@@ -595,10 +544,7 @@ def orthogonality_check(m: int, n: int, q: float, beta: float,
     built once per (q, beta, cfg) for every (m, n).
     """
     x = unit_nodes(cfg.quad_points)
-    weight = _node_weight(
-        ("orthogonality", q, beta, cfg),
-        lambda: qprod_nodes(cfg.quad_points, q, [(1.0, 2)], [(beta, 2)], cfg),
-    )
+    weight = _node_weight(qprod_nodes, cfg.quad_points, q, ((1.0, 2),), ((beta, 2),), cfg)
     vals = cq_numeric(m, beta, q, x) * cq_numeric(n, beta, q, x) * weight
     lhs = 0.5 * complex(np.mean(vals))
     if m != n:
@@ -656,7 +602,7 @@ def qdiff_equation_check(n: int, q: float, beta: float,
     worst = 0.0
     for th in (0.3, 0.8, 1.4):
         x = cmath.exp(1j * th)
-        res = (1.0 - q) ** 2 * outer(x) + lam_n * complex(rho_out(x)) * complex(y(x))
+        res = (1.0 - q) ** 2 * outer(x) + lam_n * rho_out(x) * y(x)
         worst = max(worst, abs(res))
     report = {"n": n, "err": worst, "tol": cfg.tol_loose}
     if worst > cfg.tol_loose:
@@ -668,13 +614,11 @@ def qdiff_equation_check(n: int, q: float, beta: float,
 # Fractional integration operator
 # ---------------------------------------------------------------------------
 
-def psi_power(nu: float, r: complex, x, q: float, cfg: NumericConfig = DEFAULT_CONFIG):
+def psi_power(nu: float, r: complex, x, q: float, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
     """Analog of the power function attached to the reference point r."""
-    x = np.asarray(x, dtype=complex)
     num = lambda_q(math.sqrt(q), r, x, q, cfg)
     den = gamma_q(nu + 1.0, q, cfg) * lambda_q(q ** ((nu + 1.0) / 2.0), r, x, q, cfg)
-    out = num / den
-    return out if x.shape else complex(out)
+    return num / den
 
 
 def kern_I(alpha: float, r: complex, y: complex, n: int, q: float,
@@ -779,7 +723,7 @@ def power_action_report(alpha: float, nu: float, r: complex, y: complex, q: floa
         return ratio / gamma_q(nu + 1.0, q, cfg)
 
     val = apply_I_fractional(f, alpha, r, y, q, cfg)
-    ref = complex(psi_power(nu + alpha, r, y, q, cfg))
+    ref = psi_power(nu + alpha, r, y, q, cfg)
     err = abs(val - ref) / max(abs(ref), 1.0)
     report = {"alpha": alpha, "nu": nu, "err": err, "tol": cfg.tol_loose}
     if err > cfg.tol_loose:

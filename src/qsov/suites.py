@@ -32,6 +32,7 @@ SUITE_NAMES = ("qpoly", "macdonald", "sov", "transitions", "numkernel", "ruijsen
 DEFAULT_S = ("1/2", "1/3", "3/5")
 DEFAULT_G = (1, 2, 3)
 DEFAULT_XI = ("1", "2", "3/2")
+DEFAULT_LMAX = 6
 
 
 def default_contexts(s_values=DEFAULT_S, g_values=DEFAULT_G, xi_values=DEFAULT_XI):
@@ -43,7 +44,7 @@ def default_contexts(s_values=DEFAULT_S, g_values=DEFAULT_G, xi_values=DEFAULT_X
     ]
 
 
-def default_pairs(lmax: int = 6, wmax: int = 6):
+def default_pairs(lmax: int = DEFAULT_LMAX, wmax: int = 6):
     return [
         Pair(a, b)
         for a in range(-lmax, lmax + 1)
@@ -298,8 +299,7 @@ def case_aw_symmetry(cfg: NumericConfig):
     from . import numkernel as nk
     base = nk.AWParams(0.3, -0.2, 0.1j, 0.4)
     perm = nk.AWParams(0.4, 0.1j, -0.2, 0.3)
-    v1 = nk.aw_integral(base, 0.25, cfg)
-    v2 = nk.aw_integral(perm, 0.25, cfg)
+    v1, v2 = nk.aw_integral_report([base, perm], 0.25, cfg)["values"]
     err = abs(v1 - v2)
     if err > cfg.tol_tight:
         raise AssertionError(f"permutation symmetry broken: {err}")
@@ -625,8 +625,9 @@ def _run_one(descriptor):
 
 
 def run_suite(name: str, *, s_values=DEFAULT_S, g_values=DEFAULT_G, xi_values=DEFAULT_XI,
-              lmax: int = 6, quad_points: int = 2048, tol_tight: float = 1e-10,
-              tol_loose: float = 1e-6, seed: int = 0, workers: int = 1) -> dict:
+              lmax: int = DEFAULT_LMAX, quad_points: int = NumericConfig.quad_points,
+              tol_tight: float = NumericConfig.tol_tight, tol_loose: float = NumericConfig.tol_loose,
+              seed: int = 0, workers: int = 1) -> dict:
     """Run one named suite (or 'all') over the requested grid."""
     start = time.perf_counter()
     cfg = NumericConfig(

@@ -101,14 +101,16 @@ def test_circle_integral_identity():
     rng = random.Random(0)
     worst = 0.0
     for q in (0.2, 0.4):
-        for _ in range(25):
-            params = nk.AWParams(
+        draws = [
+            nk.AWParams(
                 *(
                     cmath.rect(rng.uniform(0.0, 0.6), rng.uniform(0.0, 2 * math.pi))
                     for _ in range(4)
                 )
             )
-            quad = nk.aw_integral(params, q)
+            for _ in range(25)
+        ]
+        for params, quad in zip(draws, nk.aw_integral_report(draws, q)["values"]):
             closed = nk.aw_closed_form(params, q)
             worst = max(worst, abs(quad - closed) / abs(closed))
     elapsed = time.perf_counter() - t0

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsov import numkernel as nk
@@ -43,16 +43,43 @@ def test_qprod_inf_basics():
 
 
 def _qprod_inf_out_of_place(a, q, cfg=CFG):
-    """Reference: the out-of-place loop qprod_inf ran before its fast paths."""
+    """Array reference: (a; q)_inf at every entry of a by the loop out = out * (1 - a q^k)."""
     arr = np.asarray(a, dtype=complex)
-    amax = float(np.max(np.abs(arr))) if arr.size else 0.0
-    K = nk._trunc_order(amax, q, cfg.prod_cutoff)
+    K = nk._trunc_order(float(np.max(np.abs(arr))), q, cfg.prod_cutoff)
     out = np.ones_like(arr)
     qk = 1.0
     for _ in range(K):
         out = out * (1.0 - arr * qk)
         qk *= q
-    return out if arr.shape else complex(out)
+    return out
+
+
+def _qprod_inf_python(a, q, cfg=CFG):
+    """Scalar reference: the same loop in Python complex arithmetic."""
+    a = complex(a)
+    out, qk = 1.0 + 0.0j, 1.0
+    for _ in range(nk._trunc_order(abs(a), q, cfg.prod_cutoff)):
+        out = out * (1.0 - a * qk)
+        qk *= q
+    return out
+
+
+def _aw_weight_out_of_place(x, params, q):
+    """Array reference for aw_weight at every entry of x, in aw_weight's order of operations."""
+    den = np.ones_like(x)
+    for z in params.as_tuple():
+        den = den * _qprod_inf_out_of_place(z * x, q) * _qprod_inf_out_of_place(z / x, q)
+    return _qprod_inf_out_of_place(x ** 2, q) * _qprod_inf_out_of_place(x ** -2, q) / den
+
+
+def _lambda_q_out_of_place(nu, r, y, q):
+    """Array reference for lambda_q(nu, r, y) at every entry of y."""
+    return (
+        _qprod_inf_out_of_place(nu * r * y, q)
+        * _qprod_inf_out_of_place(nu * r / y, q)
+        * _qprod_inf_out_of_place(nu * y / r, q)
+        * _qprod_inf_out_of_place(nu / (r * y), q)
+    )
 
 
 def _bits(z):
@@ -78,21 +105,20 @@ _qprod_scalars = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(a=_qprod_scalars, q=st.floats(0.05, 0.95))
-def test_qprod_inf_fast_paths_match_out_of_place_loop(a, q):
-    scalar = nk.qprod_inf(a, q)
-    assert type(scalar) is complex
-    assert _bits(scalar) == _bits(_qprod_inf_out_of_place(a, q))
-    # the array path, for one element and for a grid around a
-    for arr in (np.array([a]), a * nk.unit_nodes(7)):
-        assert nk.qprod_inf(arr, q).tobytes() == _qprod_inf_out_of_place(arr, q).tobytes()
-    # Scalar and array loops round each complex product on their own: numpy's
-    # array multiply may fuse multiply-adds (FMA), Python's complex multiply
-    # does not.  Real factors are unaffected, so real inputs agree exactly.
-    one = nk.qprod_inf(np.array([a]), q)[0]
-    if complex(a).imag == 0.0:
-        assert _bits(scalar) == _bits(one)
-    else:
-        assert abs(scalar - one) <= 1e-13 * abs(one)
+@example(a=cmath.rect(1e-14, 2.9171371992104036), q=0.1)
+def test_qprod_inf_scalar_types_match_python_complex_loop(a, q):
+    # every scalar type runs Python's complex arithmetic, which never fuses
+    # multiply-adds, so the value matches the Python loop to the last bit;
+    # at the example draw a loop in numpy 0-d arithmetic differs in the last bit
+    value = nk.qprod_inf(a, q)
+    assert type(value) is complex
+    assert _bits(value) == _bits(_qprod_inf_python(a, q))
+
+
+def test_qprod_inf_refuses_a_node_array():
+    # the node grid goes through qprod_nodes; complex() refuses an array of ndim > 0
+    with pytest.raises(TypeError):
+        nk.qprod_inf(nk.unit_nodes(256), 0.25)
 
 
 def test_qprod_ratio_matches_quotient():
@@ -199,7 +225,7 @@ def test_qprod_ratio_block_size_does_not_change_result(monkeypatch):
 
 
 def test_aw_integral_zero_params():
-    val = nk.aw_integral(nk.AWParams(0, 0, 0, 0), 0.25)
+    [val] = nk.aw_integral_report([nk.AWParams(0, 0, 0, 0)], 0.25)["values"]
     assert abs(val - 2.0 / nk.qprod_inf(0.25, 0.25)) < CFG.tol_tight
 
 
@@ -213,7 +239,7 @@ def test_aw_integral_matches_closed_form():
                     for _ in range(4)
                 )
             )
-            quad = nk.aw_integral(params, q)
+            [quad] = nk.aw_integral_report([params], q)["values"]
             closed = nk.aw_closed_form(params, q)
             assert abs(quad - closed) / abs(closed) < 1e-10
 
@@ -228,7 +254,7 @@ def test_aw_integral_list_matches_single_calls():
     many = rep["values"]
     assert len(many) == len(draws) and rep["tol"] == CFG.tol_tight
     for params, val in zip(draws, many):
-        single = nk.aw_integral(params, 0.3)
+        [single] = nk.aw_integral_report([params], 0.3)["values"]
         assert isinstance(single, complex)
         assert val == single
     closed = [nk.aw_closed_form(p, 0.3) for p in draws]
@@ -243,13 +269,14 @@ def test_aw_integral_list_matches_single_calls():
 def test_aw_integral_permutation_symmetry():
     p1 = nk.AWParams(0.3, -0.2, 0.1j, 0.4)
     p2 = nk.AWParams(0.4, 0.1j, -0.2, 0.3)
-    assert abs(nk.aw_integral(p1, 0.25) - nk.aw_integral(p2, 0.25)) < 1e-12
+    v1, v2 = nk.aw_integral_report([p1, p2], 0.25)["values"]
+    assert abs(v1 - v2) < 1e-12
 
 
 def test_aw_integral_tolerance_guard():
     strict = nk.NumericConfig(tol_tight=1e-300)
     with pytest.raises(ToleranceExceeded):
-        nk.aw_integral(nk.AWParams(0.3, -0.2, 0.1j, 0.4), 0.25, strict)
+        nk.aw_integral_report([nk.AWParams(0.3, -0.2, 0.1j, 0.4)], 0.25, strict)
 
 
 def test_aw_spectral_convergence():
@@ -486,7 +513,7 @@ def test_qprod_pair_nodes_matches_direct_products(n):
         for p in (1, 2):
             z = _grid_powers(n, p)
             for c in _REFLECTION_CS + _SPLIT_CS:
-                ref = nk.qprod_inf(c * z, q) * nk.qprod_inf(c / z, q)
+                ref = _qprod_inf_out_of_place(c * z, q) * _qprod_inf_out_of_place(c / z, q)
                 got = nk.qprod_nodes(n, q, num=[(c, p)])
                 bound = grow * _reflection_bound([(c, z)])
                 assert np.all(np.abs(got - ref) <= bound * np.abs(ref)), (n, q, p, c)
@@ -512,60 +539,53 @@ def test_node_grid_weights_match_general_point_weights(n):
     r = cmath.exp(0.35j)
     for q in (0.25, 0.5, 0.9):
         grow = _base_growth(q, 0.25)
-        for p, got in zip(params, nk.aw_weights_on_nodes(n, params, q)):
-            ref = nk.aw_weight(x, p, q)
+        for p in params:
+            got, ref = nk.aw_weight_on_nodes(n, p, q), _aw_weight_out_of_place(x, p, q)
             bound = grow * _reflection_bound([(1.0, x ** 2)] + [(z, x) for z in p.as_tuple()])
             assert np.all(np.abs(got - ref) <= bound * np.abs(ref)), (n, q, p)
         # lambda_q(0.6, r, x) is the two pairs c = 0.6 r and c = 0.6 / r
         assert np.allclose(
             nk.qprod_nodes(n, q, num=[(0.6 * r, 1), (0.6 / r, 1)]),
-            nk.lambda_q(0.6, r, x, q),
+            _lambda_q_out_of_place(0.6, r, x, q),
             rtol=grow * 1e-14, atol=0.0,
         )
 
 
-def _count_products(monkeypatch):
-    """Record the size of every array qprod_inf call and the count of qprod_nodes calls."""
-    arrays, nodes = [], []
-    qprod_inf, qprod_nodes = nk.qprod_inf, nk.qprod_nodes
-
-    def counting_inf(a, q, cfg=CFG):
-        if np.ndim(a):
-            arrays.append(np.size(a))
-        return qprod_inf(a, q, cfg)
+def _count_nodes(monkeypatch):
+    """Record the node count of every qprod_nodes call."""
+    nodes = []
+    qprod_nodes = nk.qprod_nodes
 
     def counting_nodes(*args, **kwargs):
         nodes.append(args[0])
         return qprod_nodes(*args, **kwargs)
 
-    monkeypatch.setattr(nk, "qprod_inf", counting_inf)
     monkeypatch.setattr(nk, "qprod_nodes", counting_nodes)
-    return arrays, nodes
+    return nodes
 
 
 def test_node_grid_kernels_take_one_log_domain_evaluation(monkeypatch):
-    # every weight and kernel on the node grid is one qprod_nodes call, and
-    # no array reaches qprod_inf; the reflected form took one array
-    # q-product per pair, 5 per weight and per kernel
-    arrays, nodes = _count_products(monkeypatch)
+    # every weight and kernel on the node grid is one qprod_nodes call; the
+    # reflected form took one array q-product per pair, 5 per weight and per kernel
+    nodes = _count_nodes(monkeypatch)
     weight = nk.AWParams(0.3, -0.2, 0.1j, 0.4)
-    nk._aw_quadrature([weight], 0.25, 2048, CFG)
-    assert (arrays, nodes) == ([], [2048])
+    nk.aw_integral_report([weight], 0.25)
+    assert nodes == [2048]
     nodes.clear()
-    nk._aw_quadrature([weight] * 3, 0.25, 2048, CFG)
-    assert (arrays, nodes) == ([], [2048] * 3)
+    nk.aw_integral_report([weight] * 3, 0.25)
+    assert nodes == [2048] * 3
     nodes.clear()
     ctx = QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
     q, t = float(ctx.q), float(ctx.t)
     y1, yp = t * cmath.exp(-0.6j), t * cmath.exp(-0.85j)
     nk.apply_M_xi_numeric([sov.basis("p", Pair(0, 1), ctx)], ctx.g, q, 1.5, y1, yp)
-    assert (arrays, nodes) == ([], [CFG.quad_points])
+    assert nodes == [CFG.quad_points]
     nodes.clear()
     # fractional_on_nodes: 1/F, the output factor lambda_q(sqrt(q), r, y)
     # and the node-side weight
     fvals = np.ones(512, dtype=complex)
     nk.fractional_on_nodes(0.7, cmath.exp(0.35j), fvals, 0.25)
-    assert (arrays, nodes) == ([], [512] * 3)
+    assert nodes == [512] * 3
 
 
 #: numkernel families whose integrands are built on the node grid by qprod_nodes
@@ -575,14 +595,11 @@ _NODE_GRID_FAMILIES = (
 )
 
 
-def test_node_grid_residuals_stay_at_rounding_level(monkeypatch):
+def test_node_grid_residuals_stay_at_rounding_level():
     # Their tolerances are 1e-10 and 1e-6, loose enough to pass a truncated
     # log series or a dropped direct factor in qprod_nodes; the residuals of
     # the default run are at most 3.2e-15, so hold them to 1e-14.
-    # and no array on the node grid, or anywhere else, reaches qprod_inf
-    arrays, _ = _count_products(monkeypatch)
     report = suites.run_suite("numkernel")
-    assert arrays == []
     seen = set()
     for case in report["cases"]:
         if case["paper_eq"] in _NODE_GRID_FAMILIES:
@@ -640,15 +657,16 @@ def test_orthogonality():
 
 
 def test_product_and_orthogonality_cases_share_their_weights(monkeypatch):
-    calls = []
+    calls, built = [], []
     original = nk.qprod_nodes
 
     def counting(*args, **kwargs):
         calls.append(slug)
-        return original(*args, **kwargs)
+        built.append(original(*args, **kwargs))
+        return built[-1]
 
     monkeypatch.setattr(nk, "qprod_nodes", counting)
-    monkeypatch.setattr(nk, "_node_weights", {})
+    nk._node_weight.cache_clear()
     cases = suites._numeric_cases(CFG, 0)
     for _, slug, fn, args in cases:
         if slug in ("product-formula", "orthogonality"):
@@ -657,31 +675,37 @@ def test_product_and_orthogonality_cases_share_their_weights(monkeypatch):
     assert sum(1 for s in cases if s[1] == "product-formula") == 30
     assert calls.count("product-formula") == 5
     assert calls.count("orthogonality") == 1
-    assert len(nk._node_weights) == 6
-    for weight in nk._node_weights.values():
+    info = nk._node_weight.cache_info()
+    assert (info.currsize, info.maxsize) == (6, 16)
+    for weight in built:
         with pytest.raises(ValueError):
             weight[0] = 0.0
 
 
-def test_shared_weights_give_the_residuals_of_a_cold_build(monkeypatch):
+def test_shared_weights_give_the_residuals_of_a_cold_build():
     warm = [nk.product_formula_check(n, 0.7, 1.1, 0.25, 0.5)["err"] for n in (0, 3)]
     warm.append(nk.orthogonality_check(2, 2, 0.25, 0.5)["err"])
     cold = []
     for n in (0, 3):
-        monkeypatch.setattr(nk, "_node_weights", {})
+        nk._node_weight.cache_clear()
         cold.append(nk.product_formula_check(n, 0.7, 1.1, 0.25, 0.5)["err"])
-    monkeypatch.setattr(nk, "_node_weights", {})
+    nk._node_weight.cache_clear()
     cold.append(nk.orthogonality_check(2, 2, 0.25, 0.5)["err"])
     assert warm == cold
 
 
-def test_node_weight_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(nk, "_node_weights", {})
-    for i in range(nk._NODE_WEIGHTS_MAX + 3):
-        nk._node_weight(("probe", i), lambda: np.zeros(4))
-    assert len(nk._node_weights) == nk._NODE_WEIGHTS_MAX
-    assert ("probe", 0) not in nk._node_weights
-    assert ("probe", nk._NODE_WEIGHTS_MAX + 2) in nk._node_weights
+def test_node_weight_cache_is_bounded():
+    nk._node_weight.cache_clear()
+    bound = nk._node_weight.cache_info().maxsize
+    first = nk._node_weight(np.zeros, 1)
+    assert not first.flags.writeable
+    for size in range(2, bound + 4):
+        nk._node_weight(np.zeros, size)
+    assert nk._node_weight.cache_info().currsize == bound == 16
+    # the least recently used weight was dropped and is built anew, the newest is kept
+    assert nk._node_weight(np.zeros, bound + 3) is nk._node_weight(np.zeros, bound + 3)
+    assert nk._node_weight(np.zeros, 1) is not first
+    nk._node_weight.cache_clear()
 
 
 @pytest.mark.parametrize("n", (0, 2, 4))

@@ -13,7 +13,10 @@ zero, and gcd(denominator, *numerators) == 1.  The form is canonical, so two
 polynomials are equal exactly when numerators and denominator agree.  Ring
 operations, substitutions, shifts, evaluation, exact division and the
 triangular solve Laurent2.expand work on the integers and build no per-term
-scalar; only this module knows the storage.
+scalar; only this module knows the storage.  Work on symmetric polynomials
+(invariant under x1 <-> x2) reads the half a <= b of each: Laurent2.expand
+and its inverse Laurent2.combine_symmetric, which mirrors the half it sums,
+and Laurent1.tensor_square, which forms each mirror pair's product once.
 Readers elsewhere see the read-only {exponent: scalar} mapping p.c, and coeff
 returns the scalar type frac (fractions.Fraction, or gmpy2.mpq when gmpy2 is
 installed).  A polynomial is never changed once built: every operation
@@ -26,8 +29,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
+from itertools import compress, starmap
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, le
 
 from .errors import NonTerminating, NotDivisible, PoleError
 
@@ -277,10 +281,13 @@ class ContextTables:
     Every int pair has a positive denominator and is not reduced.
 
     The dicts are filled by the modules named: factors (sov: per-width basis
-    factors by tag), multipliers (sov: (exponent, width) -> eigen-multiplier),
-    rows (sov: (kind, lam, route) -> transition row), macdonald (macdonald:
-    lam -> P_lam) and separated (macdonald: width -> phi_width).  Entries are
-    never mutated once stored.
+    factors by tag), factors1 (sov: by tag, the one-variable products whose
+    tensor squares the factors are), multipliers (sov: (exponent, width) ->
+    eigen-multiplier), rows (sov: (kind, lam, route) -> transition row),
+    macdonald (macdonald: lam -> P_lam) and separated (macdonald: width ->
+    phi_width); qdiff (sov) holds the input-independent part of the
+    difference-operator inverse once it is built.  Entries are never mutated
+    once stored.
     """
 
     def __init__(self, ctx: QContext):
@@ -293,10 +300,12 @@ class ContextTables:
         arrays = {e: _IntPochArray(e, self.one_minus) for e in exps}
         self.ipoch_q, self.ipoch_t, self.ipoch_tq, self.ipoch_tt = (arrays[e] for e in exps)
         self.factors = {}
+        self.factors1 = {}
         self.multipliers = {}
         self.rows = {}
         self.macdonald = {}
         self.separated = {}
+        self.qdiff = None
 
     def spow(self, m: int):
         """s^m for any int m, read from the ipow table."""
@@ -401,15 +410,23 @@ def _power_table(f, lo: int, hi: int) -> tuple:
     return m, D
 
 
-def _add_multiple(out: dict, nums: dict, m: int) -> None:
-    """out += m * nums on numerator dicts (m != 0), deleting entries that reach zero."""
+def _add_multiple(out: dict, terms, m: int) -> None:
+    """out += m * terms on a numerator dict (m != 0), deleting entries that reach zero.
+
+    terms is an iterable of (exponent, numerator) pairs, such as nums.items().
+    """
     get = out.get
-    for k, v in nums.items():
+    for k, v in terms:
         w = get(k, 0) + m * v
         if w:
             out[k] = w
         else:
             del out[k]
+
+
+def _upper_half(nums: dict):
+    """The terms (a, b) with a <= b of a two-variable numerator dict, in term order, lazily."""
+    return compress(nums.items(), starmap(le, nums))
 
 
 class _Coeffs(Mapping):
@@ -497,7 +514,7 @@ class _Laurent:
         den = lcm(self._d, other._d)
         f = den // self._d
         out = {k: v * f for k, v in self._n.items()} if f != 1 else dict(self._n)
-        _add_multiple(out, other._n, sign * (den // other._d))
+        _add_multiple(out, other._n.items(), sign * (den // other._d))
         return self._make(out, den)
 
     def __add__(self, other):
@@ -536,20 +553,29 @@ class _Laurent:
     def combine(self, element):
         """sum(self[k] * element(k) for every exponent k of self), reduced once.
 
-        The one linear-combination operation: the linear map that sends the
-        monomial of exponent k to the polynomial element(k); the elements
-        share one class.  self's int numerators are the weights over one
-        common denominator, so no scalar is built.  The image of the zero
-        polynomial is the zero Laurent2.
+        The linear map that sends the monomial of exponent k to the
+        polynomial element(k); the elements share one class.  self's int
+        numerators are the weights over one common denominator, so no scalar
+        is built.  The image of the zero polynomial is the zero Laurent2.
+        Laurent2.combine_symmetric is the same map for symmetric elements.
+        """
+        cls, nums, den = self._weighted_sum(element, dict.items)
+        return cls._make(nums, den)
+
+    def _weighted_sum(self, element, terms) -> tuple:
+        """(cls, nums, den): sum(self[k] * element(k)) as int numerators over den, unreduced.
+
+        Only the terms terms(element(k)._n) of each element are summed; cls
+        is the elements' class.
         """
         if not self._n:
-            return Laurent2()
+            return Laurent2, {}, 1
         elements = [(v, element(k)) for k, v in self._n.items()]
         den = lcm(*(p._d for _, p in elements))
         out = {}
         for v, p in elements:
-            _add_multiple(out, p._n, v * (den // p._d))
-        return type(elements[0][1])._make(out, self._d * den)
+            _add_multiple(out, terms(p._n), v * (den // p._d))
+        return type(elements[0][1]), out, self._d * den
 
     def map_terms(self, fn):
         """Move and rescale every term: c at exponent k becomes c * f at k2, (k2, f) = fn(k).
@@ -614,11 +640,25 @@ class Laurent1(_Laurent):
         """y^d * self: moves every exponent and keeps the numerators."""
         return self._wrap({k + d: v for k, v in self._n.items()}, self._d)
 
-    def tensor(self, other: "Laurent1") -> "Laurent2":
-        """self(x1) * other(x2) as a two-variable polynomial."""
-        right = list(other._n.items())
-        out = {(i, j): vi * vj for i, vi in self._n.items() for j, vj in right}
-        return Laurent2._make(out, self._d * other._d)
+    def tensor_square(self) -> "Laurent2":
+        """self(x1) * self(x2) as a symmetric two-variable polynomial.
+
+        Each product of two numerators is formed once and serves both
+        mirror terms.  Term order: for each exponent j of self in turn,
+        (i, j) for every i before j, then (j, i) for every i up to j.  The
+        form is canonical as it stands: a prime dividing d is coprime to some
+        numerator n_i, so it does not divide n_i^2.
+        """
+        items = list(self._n.items())
+        out = {}
+        for n, (j, vj) in enumerate(items):
+            row = [(i, vi * vj) for i, vi in items[:n]]
+            for i, v in row:
+                out[i, j] = v
+            for i, v in row:
+                out[j, i] = v
+            out[j, j] = vj * vj
+        return Laurent2._wrap(out, self._d * self._d)
 
     def is_reflexive(self) -> bool:
         n = self._n
@@ -705,6 +745,24 @@ class Laurent2(_Laurent):
         n = self._n
         return all(n.get((b, a)) == v for (a, b), v in n.items())
 
+    def combine_symmetric(self, element):
+        """combine for a family of symmetric elements: the inverse of expand.
+
+        Sums the terms (a, b) with a <= b of each element(k), through the
+        same accumulation as combine, then mirrors the sum: each term with
+        a < b is also written at (b, a), right after it.  So each product of
+        a weight and a numerator is formed once per mirror pair.
+        """
+        cls, half, den = self._weighted_sum(element, _upper_half)
+        half, den = _reduced(half, den)
+        out = {}
+        for m, v in half.items():
+            out[m] = v
+            a, b = m
+            if a != b:
+                out[b, a] = v
+        return cls._wrap(out, den)
+
     def expand(self, element) -> "Laurent2":
         """The label vector v with v.combine(element) == self: the inverse of combine.
 
@@ -718,17 +776,30 @@ class Laurent2(_Laurent):
         because an element adds monomials inside its box only, so the loop
         ends.
 
-        The remainder is an int numerator dict W over one denominator D and
-        each step is fraction-free (Bareiss): with w = W[k], E the
-        element's numerators over ed, el = E[k] and g = gcd(w, el), W
-        becomes (el/g) W - (w/g) E and D becomes D el/g.  The entry at k is
-        the unreduced int pair (w ed/g, D el/g) with the old D; v is built
-        with one lcm and reduced once.  Raises
-        NonTerminating when an element leaves its box or misses its label,
-        or when the remainder is not zero once no label is left.
+        Everything is symmetric, so the remainder keeps only its half a <= b
+        and each step reads only the element's terms with a <= b; the pass
+        that builds the half checks that self is symmetric.  The remainder
+        is an int numerator dict W over one denominator D and each step is
+        fraction-free (Bareiss): with w = W[k], E the element's numerators
+        over ed, el = E[k] and g = gcd(w, el), W becomes (el/g) W - (w/g) E
+        and D becomes D el/g.  Each entry of W changes on its own, so the
+        half gives the labels, values and order of the full remainder.  The
+        entry at k is the unreduced int pair (w ed/g, D el/g) with the old
+        D; v is built with one lcm and reduced once.  Raises NonTerminating
+        when self is not symmetric, when an element leaves its box or misses
+        its label, or when the remainder is not zero once no label is left.
         """
-        work, den = dict(self._n), self._d
-        heap = [(-b, a) for a, b in work if a <= b]
+        work, den, get = {}, self._d, self._n.get
+        for m, v in self._n.items():
+            a, b = m
+            if a < b and get((b, a)) != v:
+                raise NonTerminating(f"the polynomial to expand is not symmetric at {m}")
+            if a <= b:
+                work[m] = v
+        # each term with a < b has its mirror, so a count match leaves no other term with a > b
+        if 2 * len(work) - sum(a == b for a, b in work) != len(self._n):
+            raise NonTerminating("the polynomial to expand is not symmetric")
+        heap = [(-b, a) for a, b in work]
         heapify(heap)
         entries = []  # (label, numerator, denominator), unreduced
         while heap:
@@ -751,13 +822,14 @@ class Laurent2(_Laurent):
             get = work.get
             for m, v in e._n.items():
                 a, b = m
-                if a < lo or b < lo or a > top or b > top:
+                if a > b:
+                    continue
+                if a < lo or b > top:
                     raise NonTerminating(f"element {k} has a term at {m}, outside its box")
                 x = get(m)
                 if x is None:
                     work[m] = -h * v
-                    if a <= b:
-                        heappush(heap, (-b, a))
+                    heappush(heap, (-b, a))
                 else:
                     x -= h * v
                     if x:

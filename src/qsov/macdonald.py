@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import prod
 
 from .errors import IdentityViolation, NotPolynomial
 from .exact import (
@@ -158,10 +157,6 @@ def _separated_factor(n: int, ctx: QContext) -> Laurent1:
     return Laurent1(coeffs)
 
 
-def _poch_factors(base, q, count: int) -> list:
-    return [ONE - base * q ** i for i in range(count)]
-
-
 def separated_poly_alt(lam: Pair, ctx: QContext) -> SeparatedPoly:
     """f_lam through the transformed series with the (y;q)_{1-2g} prefactor.
 
@@ -185,18 +180,23 @@ def separated_poly_alt(lam: Pair, ctx: QContext) -> SeparatedPoly:
     b = (ONE / t) * q
     c = (ONE / t) * q ** (1 - n)
     series = {}
-    qq = ONE
-    poch_a = ONE
+    qq = poch_a = num = den = ONE  # num, den: the nonzero factors of (b;q)_j, (c;q)_j
+    zeros = 0  # zero factors of (b;q)_j less those of (c;q)_j
     for j in range(n + 2 * g):
         if j > 0:
             poch_a *= ONE - a * q ** (j - 1)
             qq *= ONE - q ** j
-        num_factors = _poch_factors(b, q, j)
-        den_factors = _poch_factors(c, q, j)
-        if num_factors.count(0) > den_factors.count(0):
+            fb, fc = ONE - b * q ** (j - 1), ONE - c * q ** (j - 1)
+            if fb:
+                num *= fb
+            else:
+                zeros += 1
+            if fc:
+                den *= fc
+            else:
+                zeros -= 1
+        if zeros > 0:
             continue  # an unmatched numerator zero: the term vanishes
-        num = prod((f for f in num_factors if f != 0), start=ONE)
-        den = prod((f for f in den_factors if f != 0), start=ONE)
         series[j, 0] = poch_a * num / (den * qq)
     denom = Laurent2.one()
     for k in range(1, 2 * g):

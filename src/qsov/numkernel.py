@@ -291,13 +291,19 @@ def aw_convergence_report(params: AWParams, q: float, cfg: NumericConfig = DEFAU
 # ---------------------------------------------------------------------------
 
 def _check_disk(*values):
-    """Raise unless every entry of every (scalar or array) value lies inside |z| < 1."""
-    worst = max(float(np.max(np.abs(v))) for v in values)
+    """Raise unless every scalar value lies inside |z| < 1."""
+    worst = max(abs(v) for v in values)
     if worst >= 1.0:
         raise ContourUnsupported(
             f"kernel parameters of modulus up to {worst:.6g} leave the unit disk; "
             "deformation unsupported"
         )
+
+
+@lru_cache(maxsize=16)
+def _kern_mab_head(alpha: float, beta: float, q: float, cfg: NumericConfig) -> tuple:
+    """((1 - q) (q;q)_inf^2, 2 b_q(alpha, beta, q)): kern_mab's head factors that depend on q only."""
+    return (1.0 - q) * qprod_inf(q, q, cfg) ** 2, 2.0 * b_q(alpha, beta, q, cfg)
 
 
 def kern_mab(r: complex, y: complex, n: int, alpha: float, beta: float, q: float,
@@ -309,13 +315,8 @@ def kern_mab(r: complex, y: complex, n: int, alpha: float, beta: float, q: float
     qa = q ** (alpha / 2.0)
     qb = q ** (beta / 2.0)
     _check_disk(qa * y, qa / y, qb * r, qb / r)
-    qq = qprod_inf(q, q, cfg)
-    head = (
-        (1.0 - q)
-        * qq ** 2
-        * lambda_q(q ** ((alpha + beta) / 2.0), r, y, q, cfg)
-        / (2.0 * b_q(alpha, beta, q, cfg))
-    )
+    front, back = _kern_mab_head(alpha, beta, q, cfg)
+    head = front * lambda_q(q ** ((alpha + beta) / 2.0), r, y, q, cfg) / back
     nodes = qprod_nodes(n, q, [(1.0, 2)], [(qa * y, 1), (qa / y, 1), (qb * r, 1), (qb / r, 1)], cfg)
     return head * nodes
 
@@ -621,6 +622,12 @@ def psi_power(nu: float, r: complex, x, q: float, cfg: NumericConfig = DEFAULT_C
     return num / den
 
 
+@lru_cache(maxsize=16)
+def _kern_I_head(alpha: float, q: float, cfg: NumericConfig) -> tuple:
+    """((1 - q) (q;q)_inf^2, 2 gamma_q(alpha, q)): kern_I's head factors that depend on q only."""
+    return (1.0 - q) * qprod_inf(q, q, cfg) ** 2, 2.0 * gamma_q(alpha, q, cfg)
+
+
 def kern_I(alpha: float, r: complex, y: complex, n: int, q: float,
            cfg: NumericConfig = DEFAULT_CONFIG):
     """Kernel of the order-alpha operator at output point y, on x = unit_nodes(n).
@@ -630,8 +637,8 @@ def kern_I(alpha: float, r: complex, y: complex, n: int, q: float,
     qa = q ** (alpha / 2.0)
     sq = math.sqrt(q)
     _check_disk(qa * y, qa / y, sq * r, sq / r)
-    qq = qprod_inf(q, q, cfg)
-    head = (1.0 - q) * qq ** 2 * lambda_q(sq, r, y, q, cfg) / (2.0 * gamma_q(alpha, q, cfg))
+    front, back = _kern_I_head(alpha, q, cfg)
+    head = front * lambda_q(sq, r, y, q, cfg) / back
     nodes = qprod_nodes(n, q, [(1.0, 2)], [(qa * y, 1), (qa / y, 1), (sq * r, 1), (sq / r, 1)], cfg)
     return head * nodes
 

@@ -20,6 +20,7 @@ from functools import lru_cache
 from . import macdonald
 from .errors import IdentityViolation
 from .exact import (
+    Laurent1,
     Laurent2,
     ONE,
     Pair,
@@ -80,17 +81,21 @@ def _factor_table(tag: str, ctx: QContext) -> list:
 def _factor(tag: str, width: int, ctx: QContext) -> Laurent2:
     """prod_{k<width} (1 - a q^k x1^e)(1 - a q^k x2^e), e = +1 forward, -1 backward.
 
-    The product depends on the label only through its width; each new width
-    multiplies the previous one by the two linear factors of k = width - 1.
+    The product depends on the label only through its width.  It is the
+    tensor square A(x1) A(x2) of A(y) = prod_{k<width} (1 - a q^k y^e), and
+    the context's tables keep each A beside its square (factors1 beside
+    factors): each new width multiplies the previous A by the one linear
+    factor of k = width - 1.
     """
     table = _factor_table(tag, ctx)
     if len(table) <= width:
+        tab = tables(ctx)
+        ones = tab.factors1.setdefault(tag, [Laurent1.one()])
         forward, a = _basis_param(tag, ctx)
         e = 1 if forward else -1
-        qpow = tables(ctx).qpow
         for k in range(len(table) - 1, width):
-            c = a * qpow(k)
-            table.append(table[k] * _linear(c, e, 0) * _linear(c, 0, e))
+            ones.append(ones[k] * Laurent1({0: ONE, e: -a * tab.qpow(k)}))
+            table.append(ones[k + 1].tensor_square())
     return table[width]
 
 
@@ -121,8 +126,11 @@ def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> Laurent2:
 
 
 def reassemble(vec: Laurent2, tag: str, ctx: QContext) -> Laurent2:
-    """sum of vec's entry at nu times basis(tag, nu): the inverse of expand_in_basis."""
-    return vec.combine(lambda k: basis(tag, Pair(*k), ctx))
+    """sum of vec's entry at nu times basis(tag, nu): the inverse of expand_in_basis.
+
+    Every basis element is symmetric, so this is vec.combine_symmetric.
+    """
+    return vec.combine_symmetric(lambda k: basis(tag, Pair(*k), ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +193,31 @@ def apply_M_inverse_qdiff(p: Laurent2, ctx: QContext) -> Laurent2:
     denominator divides a common product over x2/x1 ratios; the terms are
     summed over that common denominator and the final division is exact.
     """
-    g = ctx.g
+    denom, coeffs = _qdiff_operator(ctx)
+    qpow = tables(ctx).qpow
+    xi_inv = ONE / ctx.xi
+    accum = Laurent2()
+    for k, nk in enumerate(coeffs):
+        shifted = p.subs_scale(xi_inv * qpow(k), xi_inv * ctx.t * qpow(-k))
+        accum = accum + nk * shifted
+    return divide_exact(accum, denom)
+
+
+def _qdiff_operator(ctx: QContext) -> tuple:
+    """(denom, [n_0, ..., n_g]): the input-independent part of apply_M_inverse_qdiff.
+
+    Built once per context and kept in its tables.
+    """
     tab = tables(ctx)
+    if tab.qdiff is not None:
+        return tab.qdiff
+    g = ctx.g
     qpow, pq = tab.qpow, tab.ipoch_q
     xi_inv, t_xi = ONE / ctx.xi, ctx.t * ctx.xi
     denom = Laurent2({(0, 0): frac(*tab.ipoch_t[g])})
     for j in range(-g, g + 1):
         denom = denom * _linear(qpow(j), -1, 1)
-    accum = Laurent2()
+    coeffs = []
     for k in range(g + 1):
         # (-1)^k s^(-k(k-1)) times the Gaussian binomial [g over k]_q from the (q; q)_n array
         coef = _ratio((((-1) ** k, 1), tab.ipow(-k * (k - 1)), pq[g]), (pq[k], pq[g - k]))
@@ -208,9 +233,9 @@ def apply_M_inverse_qdiff(p: Laurent2, ctx: QContext) -> Laurent2:
             nk = nk * _linear(qpow(j), -1, 1)
         for j in range(g - k + 1, g + 1):
             nk = nk * _linear(qpow(j), -1, 1)
-        shifted = p.subs_scale(xi_inv * qpow(k), xi_inv * ctx.t * qpow(-k))
-        accum = accum + nk * shifted
-    return divide_exact(accum, denom)
+        coeffs.append(nk)
+    tab.qdiff = (denom, coeffs)
+    return tab.qdiff
 
 
 def normalization_c(lam: Pair, ctx: QContext):
@@ -220,7 +245,7 @@ def normalization_c(lam: Pair, ctx: QContext):
 
 def f_tensor(f: macdonald.SeparatedPoly) -> Laurent2:
     """f(y1) * f(y2) as a symmetric two-variable polynomial."""
-    return f.poly.tensor(f.poly)
+    return f.poly.tensor_square()
 
 
 def separate(lam: Pair, ctx: QContext) -> SeparatingImage:

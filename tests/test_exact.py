@@ -181,6 +181,23 @@ def test_laurent1_agrees_with_laurent2_on_one_variable(da, db, s, n):
             hash(p)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_onevar)
+def test_tensor_square_is_the_product_in_each_variable(da):
+    a = Laurent1(da)
+    square = a.tensor_square()
+    _assert_canonical(square)
+    x1 = Laurent2({(k, 0): v for k, v in da.items()})
+    x2 = Laurent2({(0, k): v for k, v in da.items()})
+    assert square == x1 * x2 and square.is_symmetric()
+    # for each exponent j of a: (i, j) for i before j, then (j, i) for i up to j
+    keys = list(a.c)
+    order = []
+    for n, j in enumerate(keys):
+        order += [(i, j) for i in keys[:n]] + [(j, i) for i in keys[: n + 1]]
+    assert list(square.c) == order
+
+
 _twovar = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), _rationals, max_size=6)
 _nonzero = _rationals.filter(bool)
 

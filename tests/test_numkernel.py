@@ -413,17 +413,37 @@ def test_numkernel_suite_passes_no_array_to_laurent_evaluate(monkeypatch):
     assert report["status"] == "pass" and arrays == []
 
 
-def test_check_disk_accepts_arrays():
-    nk._check_disk(np.array([0.1, 0.5j, -0.99]), 0.3, np.array([[0.2], [0.7j]]))
+def test_check_disk_takes_scalars():
+    nk._check_disk(0.1, 0.5j, -0.99, 0.3, 0.2, 0.7j)
     with pytest.raises(ContourUnsupported):
-        nk._check_disk(np.array([0.1, 1.0, 0.2]))
+        nk._check_disk(0.1, 1.0, 0.2)
     with pytest.raises(ContourUnsupported):
-        nk._check_disk(0.5, np.array([[0.1, 0.2], [0.3, 1.5j]]))
+        nk._check_disk(0.5, 0.1, 0.2, 0.3, 1.5j)
     with pytest.raises(ContourUnsupported):
-        nk._check_disk(np.array([0.5]), 1.2)
+        nk._check_disk(0.5, 1.2)
     # an output point outside the disk fails the kernel
     with pytest.raises(ContourUnsupported):
         nk.kern_I(0.5, cmath.exp(0.35j), 5.0 + 0j, 16, 0.25)
+
+
+def test_kernel_heads_are_built_once_and_keep_their_rounding():
+    q, alpha, beta, r, n = 0.3, 1.5, 2.0, cmath.exp(0.35j), 16
+    cfg = nk.NumericConfig(quad_points=256)  # a parameter set no other test uses
+    for kernel, head, args in (
+        (lambda y: nk.kern_mab(r, y, n, alpha, beta, q, cfg), nk._kern_mab_head, (alpha, beta, q, cfg)),
+        (lambda y: nk.kern_I(alpha, r, y, n, q, cfg), nk._kern_I_head, (alpha, q, cfg)),
+    ):
+        misses = head.cache_info().misses
+        for y in (cmath.exp(0.2j), cmath.exp(1.1j), 0.5 + 0.25j):
+            kernel(y)
+        assert head.cache_info().misses == misses + 1
+    # the head is the product (1 - q)(q;q)^2 lambda / (2 b_q), in that order
+    y = cmath.exp(0.7j)
+    lam = nk.lambda_q(q ** ((alpha + beta) / 2.0), r, y, q, cfg)
+    direct = (1.0 - q) * nk.qprod_inf(q, q, cfg) ** 2 * lam / (2.0 * nk.b_q(alpha, beta, q, cfg))
+    qa, qb = q ** (alpha / 2.0), q ** (beta / 2.0)
+    nodes = nk.qprod_nodes(n, q, [(1.0, 2)], [(qa * y, 1), (qa / y, 1), (qb * r, 1), (qb / r, 1)], cfg)
+    assert np.array_equal(nk.kern_mab(r, y, n, alpha, beta, q, cfg), direct * nodes)
 
 
 @pytest.mark.parametrize("n_inner", (64, 200, 201, 512))

@@ -1,5 +1,6 @@
 import random
 import time
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -398,6 +399,62 @@ wide_labels = st.builds(
 def test_basis_is_shifted_width_factor(ctx, nu):
     for tag in sov.BASIS_TAGS:
         assert _same_terms(sov.basis(tag, nu, ctx), _direct_basis(tag, nu, ctx))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ctx=off_grid_contexts(), nu=wide_labels)
+@_spot_examples(nu=Pair(-2, 4))
+def test_every_basis_element_is_symmetric(ctx, nu):
+    """The premise of expanding and reassembling on the a <= b half."""
+    for tag in sov.BASIS_TAGS:
+        assert sov.basis(tag, nu, ctx).is_symmetric(), tag
+
+
+@st.composite
+def label_vectors(draw):
+    """A label vector: nonzero rationals at some labels inside a drawn label."""
+    lam = draw(wide_labels)
+    entries = draw(st.dictionaries(
+        st.sampled_from(exact.pairs_under(lam)),
+        st.builds(frac, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+        max_size=6,
+    ))
+    return Laurent2(entries)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ctx=off_grid_contexts(), vec=label_vectors())
+@_spot_examples(vec=Laurent2({Pair(-2, 4): frac(3, 7), Pair(0, 0): -1, Pair(1, 3): frac(5, 2)}))
+def test_combine_symmetric_matches_combine_on_symmetric_families(ctx, vec):
+    families = [lambda k, tag=tag: sov.basis(tag, Pair(*k), ctx) for tag in sov.BASIS_TAGS]
+    families.append(lambda k: macdonald.macdonald_poly(Pair(*k), ctx).poly)
+    for element in families:
+        out = vec.combine_symmetric(element)
+        assert out == vec.combine(element)
+        assert out._d > 0 and 0 not in out._n.values() and gcd(out._d, *out._n.values()) == 1
+        # each term (a, b) with a < b is followed by its mirror
+        keys = list(out.c)
+        for n, (a, b) in enumerate(keys):
+            if a < b:
+                assert keys[n + 1] == (b, a)
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 0): 1},  # only the mirror half
+    {(0, 1): 1, (1, 0): 2},  # mirror terms that differ
+    {(0, 1): 1, (2, 0): 1},  # as many terms below the diagonal as above, none a mirror
+    {(0, 1): 1, (1, 0): 1, (3, 2): 1},  # a symmetric pair and one stray term below
+])
+def test_expand_rejects_an_asymmetric_polynomial_in_its_first_pass(terms):
+    calls = []
+
+    def element(k):
+        calls.append(k)
+        return sov.basis("p", Pair(*k), CTX)
+
+    with pytest.raises(NonTerminating):
+        Laurent2(terms).expand(element)
+    assert calls == []
 
 
 @settings(max_examples=100, deadline=None)

@@ -57,7 +57,7 @@ def families() -> dict:
     out = {name: [] for name in (
         "basis", "apply_M", "apply_M_via_r", "apply_M_inverse", "apply_M_inverse_qdiff",
         "transition_closed", "transition_recurrence", "P_lam", "f_lam", "f_lam_alt",
-        "normalization_c", "cq_sum", "expand_in_basis",
+        "normalization_c", "cq_sum", "expand_in_basis", "apply_H1", "apply_H2", "apply_shift",
     )}
     maps = [(name, getattr(sov, name)) for name in (
         "apply_M", "apply_M_via_r", "apply_M_inverse", "apply_M_inverse_qdiff",
@@ -91,6 +91,16 @@ def families() -> dict:
             for tag in sov.BASIS_TAGS:
                 exp = sov.expand_in_basis(p, tag, ctx)
                 out["expand_in_basis"].append([where, tag, source, _terms(exp.c)])
+        operands = [(f"random[{i}]", p) for i, p in enumerate(RANDOM_SYMMETRIC)] + [
+            (f"P_lam[{lam}]", macdonald.macdonald_poly(lam, ctx).poly) for lam in LABELS
+        ]
+        for source, p in operands:
+            for name in ("apply_H1", "apply_H2"):
+                out[name].append([where, source, _terms(getattr(macdonald, name)(p, ctx).c)])
+            for tag in sov.BASIS_TAGS:
+                for j in (1, 2):
+                    image = sov.apply_shift(p, j, tag, ctx)
+                    out["apply_shift"].append([where, tag, j, source, _terms(image.c)])
     return out
 
 

@@ -612,3 +612,45 @@ def test_maps_leave_cached_bases_untouched(ctx):
         assert_untouched()
         assert sov.apply_M_via_r(p, ctx) == image
         assert_untouched()
+
+
+def _two_product_H1(p, ctx):
+    """Reference H1: v12 T_{q,x1} p + v21 T_{q,x2} p over x1 - x2, both products formed."""
+    st_, sti = ctx.sqrt_t, 1 / ctx.sqrt_t
+    num = (
+        Laurent2({(1, 0): st_, (0, 1): -sti}) * p.subs_scale(ctx.q, 1)
+        - Laurent2({(0, 1): st_, (1, 0): -sti}) * p.subs_scale(1, ctx.q)
+    )
+    return exact.divide_exact(num, Laurent2({(1, 0): 1, (0, 1): -1}))
+
+
+def _two_product_shift(p, j, tag, ctx):
+    """Reference shift operator: c1 T_{x1} p + c2 T_{x2} p over x1 - x2, both products formed."""
+    forward, a = sov._basis_param(tag, ctx)
+    b = a if forward else 1 / a
+    if j == 1:
+        c1 = Laurent2({(0, 1): -1, (1, 1): b})
+        c2 = Laurent2({(1, 0): 1, (1, 1): -b})
+    else:
+        c1 = Laurent2({(0, 0): -1 / b, (1, 0): 1})
+        c2 = Laurent2({(0, 0): 1 / b, (0, 1): -1})
+    f = ctx.q if forward else 1 / ctx.q
+    num = c1 * p.subs_scale(f, 1) + c2 * p.subs_scale(1, f)
+    return exact.divide_exact(num, Laurent2({(1, 0): 1, (0, 1): -1}))
+
+
+@settings(max_examples=50, deadline=None)
+@given(ctx=off_grid_contexts(), lam=labels, seed=st.integers(0, 2 ** 16))
+@example(ctx=QContext(s=frac(2, 7), g=4, xi=frac(-5, 3)), lam=Pair(-2, 1), seed=3)
+@_spot_examples(lam=Pair(-1, 2), seed=17)
+def test_first_order_operators_match_the_two_product_formula(ctx, lam, seed):
+    inputs = [
+        random_symmetric(random.Random(seed), degree=5, terms=5),
+        macdonald.macdonald_poly(lam, ctx).poly,
+        sov.basis("r", lam, ctx),
+    ]
+    for p in inputs:
+        assert macdonald.apply_H1(p, ctx) == _two_product_H1(p, ctx)
+        for tag in sov.BASIS_TAGS:
+            for j in (1, 2):
+                assert sov.apply_shift(p, j, tag, ctx) == _two_product_shift(p, j, tag, ctx), (tag, j)

@@ -17,6 +17,8 @@ scalar; only this module knows the storage.  Work on symmetric polynomials
 (invariant under x1 <-> x2) reads the half a <= b of each: Laurent2.expand
 and its inverse Laurent2.combine_symmetric, which mirrors the half it sums,
 and Laurent1.tensor_square, which forms each mirror pair's product once.
+The first-order q-difference operators form one product too: mirror_quotient
+divides that product less its mirror (Laurent2.swap) by x1 - x2.
 Readers elsewhere see the read-only {exponent: scalar} mapping p.c, and coeff
 returns the scalar type frac (fractions.Fraction, or gmpy2.mpq when gmpy2 is
 installed).  A polynomial is never changed once built: every operation
@@ -741,6 +743,10 @@ class Laurent2(_Laurent):
         """x1^d1 x2^d2 * self: moves every exponent and keeps the numerators."""
         return self._wrap({(a + d1, b + d2): v for (a, b), v in self._n.items()}, self._d)
 
+    def swap(self) -> "Laurent2":
+        """The mirror x1 <-> x2: the term at (a, b) moves to (b, a), numerators kept."""
+        return self._wrap({(b, a): v for (a, b), v in self._n.items()}, self._d)
+
     def is_symmetric(self) -> bool:
         n = self._n
         return all(n.get((b, a)) == v for (a, b), v in n.items())
@@ -863,6 +869,22 @@ def qshift(p, j: int, s_steps: int, ctx: QContext):
     if j == 1:
         return p.subs_powers(None, table)
     raise ValueError("variable index must be 0 or 1")
+
+
+_X1_MINUS_X2 = Laurent2({(1, 0): ONE, (0, 1): -ONE})
+
+
+def mirror_quotient(c: Laurent2, p: Laurent2, s_steps: int, ctx: QContext) -> Laurent2:
+    """(c T_1 - swap(c) T_2) p / (x1 - x2), T_j: x_j -> s^s_steps x_j, for a symmetric p.
+
+    The T_2 product is then the mirror of A = c T_1 p: the quotient is
+    (A - A.swap()) / (x1 - x2), one product.  An antisymmetric numerator always
+    divides exactly, so an asymmetric p raises ValueError, not a wrong quotient.
+    """
+    if not p.is_symmetric():
+        raise ValueError("the first-order operators act on symmetric polynomials")
+    a = c * qshift(p, 0, s_steps, ctx)
+    return divide_exact(a - a.swap(), _X1_MINUS_X2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .exact import (
     ZERO,
     _ratio,
     divide_exact,
+    mirror_quotient,
     tables,
 )
 
@@ -78,26 +79,16 @@ def macdonald_poly(lam: Pair, ctx: QContext) -> MacdonaldPoly:
     return mp
 
 
-_X1_MINUS_X2 = Laurent2({(1, 0): ONE, (0, 1): -ONE})
-
-
 def apply_H1(p: Laurent2, ctx: QContext) -> Laurent2:
     """First Hamiltonian: v12 T_{q,x1} + v21 T_{q,x2} with exact clearing.
 
-    The rational coefficients share the denominator (x1 - x2); the image of
-    a symmetric polynomial is again polynomial, so the division must be
-    exact and a failure signals a non-symmetric input.
+    The rational coefficients share the denominator x1 - x2, and for a
+    symmetric p the T_{q,x2} term is the mirror of the T_{q,x1} term: H1 p is
+    the mirror quotient of c = s^g x1 - s^-g x2.  An asymmetric p raises
+    ValueError.
     """
     st = ctx.sqrt_t
-    sti = ONE / st
-    q_table = partial(tables(ctx).spow_table, 2)
-    shift1 = p.subs_powers(q_table, None)
-    shift2 = p.subs_powers(None, q_table)
-    num = (
-        Laurent2({(1, 0): st, (0, 1): -sti}) * shift1
-        - Laurent2({(0, 1): st, (1, 0): -sti}) * shift2
-    )
-    return divide_exact(num, _X1_MINUS_X2)
+    return mirror_quotient(Laurent2({(1, 0): st, (0, 1): -ONE / st}), p, 2, ctx)
 
 
 def apply_H2(p: Laurent2, ctx: QContext) -> Laurent2:

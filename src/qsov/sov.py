@@ -29,6 +29,7 @@ from .exact import (
     _times,
     divide_exact,
     frac,
+    mirror_quotient,
     pairs_under,
     qshift,
     tables,
@@ -120,8 +121,6 @@ def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> Laurent2:
     the order Laurent2.expand peels the labels off: the basis is triangular,
     basis(tag, nu) having its monomials in the box [nu1, nu2]^2.
     """
-    if not p.is_symmetric():
-        raise ValueError("expansion requires a symmetric polynomial")
     return p.expand(lambda k: basis(tag, Pair(*k), ctx))
 
 
@@ -547,28 +546,23 @@ def involution_V(p: Laurent2, ctx: QContext) -> Laurent2:
     return p.subs_invert_scale(tables(ctx).tpow(2))
 
 
-_DIFF = Laurent2({(1, 0): ONE, (0, 1): -ONE})
-
-
 def apply_shift(p: Laurent2, j: int, tag: str, ctx: QContext) -> Laurent2:
     """First-order q-shift operator diagonal on basis(tag, .) in variable j.
 
     Its eigenvalue on basis(tag, nu) is q^nu_j for the forward bases (p, pt)
-    and q^-nu_j for the backward ones (r, rt).
+    and q^-nu_j for the backward ones (r, rt).  It is the mirror quotient of
+    one coefficient c per j, shifting by q forward and by q^-1 backward; p
+    must be symmetric (ValueError otherwise).
     """
     forward, a = _basis_param(tag, ctx)
     b = a if forward else ONE / a
     if j == 1:
-        c1 = Laurent2({(0, 1): -ONE, (1, 1): b})
-        c2 = Laurent2({(1, 0): ONE, (1, 1): -b})
+        c = Laurent2({(0, 1): -ONE, (1, 1): b})
     elif j == 2:
-        c1 = Laurent2({(0, 0): -ONE / b, (1, 0): ONE})
-        c2 = Laurent2({(0, 0): ONE / b, (0, 1): -ONE})
+        c = Laurent2({(0, 0): -ONE / b, (1, 0): ONE})
     else:
         raise ValueError("j must be 1 or 2")
-    steps = 2 if forward else -2
-    num = c1 * qshift(p, 0, steps, ctx) + c2 * qshift(p, 1, steps, ctx)
-    return divide_exact(num, _DIFF)
+    return mirror_quotient(c, p, 2 if forward else -2, ctx)
 
 
 def apply_M_identified(p: Laurent2, ctx: QContext) -> Laurent2:

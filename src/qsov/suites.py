@@ -184,19 +184,11 @@ def case_involutions(ctx: QContext, seed: int):
 def case_shift_operators(ctx: QContext, seed: int):
     rng = random.Random(seed)
     nu = Pair(rng.randint(-4, 1), rng.randint(1, 5))
-    pb = sov.basis("p", nu, ctx)
-    rb = sov.basis("r", nu, ctx)
-    ptb = sov.basis("pt", nu, ctx)
-    rtb = sov.basis("rt", nu, ctx)
-    for j, e in ((1, nu.l1), (2, nu.l2)):
-        if sov.apply_shift(pb, j, "p", ctx) != pb * ctx.q ** e:
-            raise AssertionError(f"forward shift eigenvalue fails, j={j}")
-        if sov.apply_shift(rb, j, "r", ctx) != rb * ctx.q ** (-e):
-            raise AssertionError(f"backward shift eigenvalue fails, j={j}")
-        if sov.apply_shift(ptb, j, "pt", ctx) != ptb * ctx.q ** e:
-            raise AssertionError(f"tilded forward shift eigenvalue fails, j={j}")
-        if sov.apply_shift(rtb, j, "rt", ctx) != rtb * ctx.q ** (-e):
-            raise AssertionError(f"tilded backward shift eigenvalue fails, j={j}")
+    for tag in sov.BASIS_TAGS:
+        b = sov.basis(tag, nu, ctx)
+        for j, e in ((1, nu.l1), (2, nu.l2)):
+            if sov.apply_shift(b, j, tag, ctx) != b * ctx.q ** (e if tag in ("p", "pt") else -e):
+                raise AssertionError(f"shift eigenvalue on the {tag} basis fails, j={j}")
     p = random_symmetric(rng, degree=3, terms=3)
     for j in (1, 2):
         if sov.apply_M(sov.apply_shift(p, j, "p", ctx), ctx) != sov.apply_shift(
@@ -399,7 +391,7 @@ def case_classical(cfg: NumericConfig):
 # stay fixed: each is set by its check's own method, not by the run's
 # tolerances.
 #: Root-finding and residual bound of the separation variables.
-RJ_SEPARATION_TOL = 1e-9
+RJ_SEPARATION_TOL = 1e-10
 #: Fourth-order finite-difference brackets at step 1e-5.
 RJ_CANONICITY_TOL = 1e-5
 #: Dilogarithm functional equations, evaluated to rounding error.
@@ -443,7 +435,7 @@ def case_rj_separation(seed: int, t: float, xi_re: float, xi_im: float):
     rng = random.Random(seed)
     xi = complex(xi_re, xi_im)
     point = rj.random_phase_point(rng, 2)
-    data = rj.separation_variables(point.x, point.Tx, t, xi, tol=1e-10)
+    data = rj.separation_variables(point.x, point.Tx, t, xi, tol=RJ_SEPARATION_TOL)
     worst = abs(data.y[0] * data.y[1] * xi ** 2 - t * point.x[0] * point.x[1])
     for y in data.y:
         bval = rj.b_poly_value(point.x, point.Tx, t, xi, y)

@@ -333,6 +333,7 @@ def test_reduction_transport():
     ("RJ_GENFUNC_TOL", suites.case_rj_genfunc, (0, 0.5, 0.7)),
     ("RJ_GAUGE_TOL", suites.case_rj_gauge, (0, 0.25, 0.5)),
     ("RJ_REDUCTION_TOL", suites.case_rj_reduction, (0, 0.5)),
+    ("RJ_SEPARATION_TOL", suites.case_rj_separation, (0, 0.5, 0.7, 0.0)),
 ])
 def test_named_ruijsenaars_bounds_reach_their_checks(monkeypatch, name, case, args):
     assert case(*args) < getattr(suites, name)

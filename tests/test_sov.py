@@ -49,11 +49,22 @@ def test_expand_round_trip():
 
 
 def test_expand_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sov.expand_in_basis(Laurent2({(0, 1): 1}), "p", CTX)
-    # without the symmetry check, the mirror term (1, 0) is left over
-    with pytest.raises(NonTerminating):
-        Laurent2({(0, 1): 1}).expand(lambda k: sov.basis("p", Pair(*k), CTX))
+    # the one symmetry check is the pass of Laurent2.expand that builds its half
+    for terms in ({(0, 1): 1}, {(1, 0): 1}, {(0, 1): 1, (1, 0): 2}):
+        with pytest.raises(NonTerminating, match="not symmetric"):
+            sov.expand_in_basis(Laurent2(terms), "p", CTX)
+
+
+@pytest.mark.parametrize("terms", [{(0, 1): 1}, {(0, 1): 1, (1, 0): 2}, {(2, -1): 1, (0, 0): 1}])
+def test_first_order_operators_reject_an_asymmetric_polynomial(terms):
+    # A - swap(A) divides exactly for any p: only the symmetry check stops a wrong quotient
+    p = Laurent2(terms)
+    with pytest.raises(ValueError, match="symmetric"):
+        macdonald.apply_H1(p, CTX)
+    for tag in sov.BASIS_TAGS:
+        for j in (1, 2):
+            with pytest.raises(ValueError, match="symmetric"):
+                sov.apply_shift(p, j, tag, CTX)
 
 
 def test_expansion_matches_transition_row():

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import IdentityViolation, NotPolynomial
+from .errors import IdentityViolation, NotDivisible, NotPolynomial
 from .exact import (
     Laurent1,
     Laurent2,
@@ -194,7 +194,7 @@ def separated_poly_alt(lam: Pair, ctx: QContext) -> SeparatedPoly:
         denom = denom * (Laurent2.one() - Laurent2.term(1, 0, q ** -k))
     try:
         quotient = divide_exact(Laurent2(series), denom)
-    except Exception as exc:
+    except NotDivisible as exc:
         raise NotPolynomial(f"series/(y;q)_(1-2g) not polynomial for lam={lam}") from exc
     shifted = Laurent1({e + lam.l1: v for (e, _), v in quotient.c.items()})
     return SeparatedPoly(label=lam, poly=shifted)

@@ -27,7 +27,8 @@ from .exact import (
 )
 from .numconfig import NumericConfig
 
-SUITE_NAMES = ("qpoly", "macdonald", "sov", "transitions", "numkernel", "ruijsenaars")
+EXACT_SUITES = ("qpoly", "macdonald", "sov", "transitions")
+SUITE_NAMES = EXACT_SUITES + ("numkernel", "ruijsenaars")
 
 DEFAULT_S = ("1/2", "1/3", "3/5")
 DEFAULT_G = (1, 2, 3)
@@ -190,27 +191,17 @@ def case_shift_operators(ctx: QContext, seed: int):
             if sov.apply_shift(b, j, tag, ctx) != b * ctx.q ** (e if tag in ("p", "pt") else -e):
                 raise AssertionError(f"shift eigenvalue on the {tag} basis fails, j={j}")
     p = random_symmetric(rng, degree=3, terms=3)
+    image, identified = sov.apply_M(p, ctx), sov.apply_M_identified(p, ctx)
     for j in (1, 2):
-        if sov.apply_M(sov.apply_shift(p, j, "p", ctx), ctx) != sov.apply_shift(
-            sov.apply_M(p, ctx), j, "pt", ctx
-        ):
-            raise AssertionError(f"intertwining fails for the forward pair, j={j}")
-        if sov.apply_M(sov.apply_shift(p, j, "r", ctx), ctx) != sov.apply_shift(
-            sov.apply_M(p, ctx), j, "rt", ctx
-        ):
-            raise AssertionError(f"intertwining fails for the backward pair, j={j}")
-        if sov.apply_M_identified(sov.apply_shift(p, j, "p", ctx), ctx) != sov.apply_shift(
-            sov.apply_M_identified(p, ctx), j, "p", ctx
-        ):
+        for direction, tag, image_tag in (("forward", "p", "pt"), ("backward", "r", "rt")):
+            if sov.apply_M(sov.apply_shift(p, j, tag, ctx), ctx) != sov.apply_shift(image, j, image_tag, ctx):
+                raise AssertionError(f"intertwining fails for the {direction} pair, j={j}")
+        if sov.apply_M_identified(sov.apply_shift(p, j, "p", ctx), ctx) != sov.apply_shift(identified, j, "p", ctx):
             raise AssertionError(f"identified map does not commute with N_{j}")
-    if sov.apply_shift(sov.apply_shift(p, 2, "p", ctx), 1, "p", ctx) != sov.apply_shift(
-        sov.apply_shift(p, 1, "p", ctx), 2, "p", ctx
-    ):
-        raise AssertionError("forward shifts do not commute")
-    if sov.apply_shift(sov.apply_shift(p, 2, "r", ctx), 1, "r", ctx) != sov.apply_shift(
-        sov.apply_shift(p, 1, "r", ctx), 2, "r", ctx
-    ):
-        raise AssertionError("backward shifts do not commute")
+    for direction, tag in (("forward", "p"), ("backward", "r")):
+        shifted_21 = sov.apply_shift(sov.apply_shift(p, 2, tag, ctx), 1, tag, ctx)
+        if shifted_21 != sov.apply_shift(sov.apply_shift(p, 1, tag, ctx), 2, tag, ctx):
+            raise AssertionError(f"{direction} shifts do not commute")
 
 
 def case_transitions(ctx: QContext, lam: Pair):
@@ -537,7 +528,7 @@ def _ctx_cases(ctxs, pairs, seed):
             tr.append((f"rows[{tag};{lam}]", "transition-closed-vs-recurrence", case_transitions, (ctx, lam)))
             tr.append((f"reassemble[{tag};{lam}]", "transition-reassembly", case_reassembly, (ctx, lam)))
             tr.append((f"inverse-pair[{tag};{lam}]", "mutual-inverse", case_mutual_inverse, (ctx, lam)))
-    return {"qpoly": qp, "macdonald": md, "sov": sv, "transitions": tr}
+    return dict(zip(EXACT_SUITES, (qp, md, sv, tr)))
 
 
 def _numeric_cases(cfg: NumericConfig, seed: int):
@@ -626,7 +617,7 @@ def run_suite(name: str, *, s_values=DEFAULT_S, g_values=DEFAULT_G, xi_values=DE
         quad_points=quad_points, tol_tight=tol_tight, tol_loose=tol_loose
     )
     grid: dict = {"seed": seed}
-    if name in ("qpoly", "macdonald", "sov", "transitions", "all"):
+    if name in EXACT_SUITES + ("all",):
         grid.update(
             s=list(s_values), g=list(g_values), xi=list(xi_values), lmax=lmax
         )
@@ -635,7 +626,7 @@ def run_suite(name: str, *, s_values=DEFAULT_S, g_values=DEFAULT_G, xi_values=DE
     elif name == "ruijsenaars":
         grid.update(tol_tight=tol_tight, tol_loose=tol_loose)
     names = SUITE_NAMES if name == "all" else (name,)
-    exact_needed = any(n in ("qpoly", "macdonald", "sov", "transitions") for n in names)
+    exact_needed = any(n in EXACT_SUITES for n in names)
     exact = (
         _ctx_cases(default_contexts(s_values, g_values, xi_values), default_pairs(lmax), seed)
         if exact_needed

@@ -1,215 +1,187 @@
-"""One test per acceptance criterion, each at its stated tolerance.
+"""One test per acceptance criterion, read from the suites' own reports.
 
-Every test prints a single PASS line with its wall time (run pytest with -s
-to see them inline).  Exact criteria admit no tolerance at all: polynomial
-identities are compared coefficient-by-coefficient over rationals.
+Each suite runs once a session on the default grid (the suite_report
+fixture).  A test asserts, for each paper_eq slug of its criterion, that
+every case passed and that the slug has one case per grid point.  Exact
+criteria admit no tolerance at all: polynomial identities are compared
+coefficient-by-coefficient over rationals.  A numeric case raises above its
+suite's default tolerance, and the tests hold the residuals to each
+criterion's stated bound as well.  Inputs that a test checks but no suite
+draws stay as direct checks.  Every test prints a single PASS line (run
+pytest with -s to see them inline).
 """
 
 import cmath
 import math
 import random
-import time
+from collections import Counter
 
-from qsov import macdonald, numkernel as nk, qpoly, ruijsenaars as rj, sov, suites
+from qsov import numkernel as nk, ruijsenaars as rj, sov, suites
 from qsov.exact import QContext, frac, random_symmetric
 
 CTXS = suites.default_contexts()
-PAIRS = suites.default_pairs()
+GRID = len(CTXS) * len(suites.default_pairs())
+
+#: Every paper_eq slug of the default-grid reports, by the suites that carry it.
+CENSUS = {
+    suites.EXACT_SUITES: (
+        "recurrence-vs-sum", "generating-function", "one-variable-connection",
+        "commuting-pair", "eigenvalue-equation", "separation-equation", "monomial-factorized-form",
+        "dual-route-map", "inverse-difference-form", "involution-intertwining",
+        "invariant-shift-operators", "factorization", "characteristic-equation", "tridiagonal-action",
+        "transition-closed-vs-recurrence", "transition-reassembly", "mutual-inverse",
+    ),
+    ("numkernel",): (
+        "circle-integral", "integral-symmetry", "quadrature-convergence", "kernel-eigenaction",
+        "integral-vs-algebraic-map", "product-formula", "kernel-series", "orthogonality",
+        "difference-equation", "fractional-power-action", "fractional-group-law",
+        "fractional-negative-order", "classical-limit",
+    ),
+    ("ruijsenaars",): (
+        "dilogarithm-identities", "characteristic-polynomial", "poisson-involutivity",
+        "separation-variables", "canonical-brackets", "generating-function-derivatives",
+        "gauge-conjugation", "chain-reduction", "hermitian-reality",
+    ),
+}
 
 
-def _announce(name, t0):
-    print(f"PASS {name} ({time.perf_counter() - t0:.1f} s)")
+def _check(report, counts, tol=None):
+    """Each slug in counts has that many cases in report, all passed, each residual below tol."""
+    cases = [c for c in report["cases"] if c["paper_eq"] in counts]
+    assert [c for c in cases if c["status"] != "pass"] == []
+    assert Counter(c["paper_eq"] for c in cases) == counts
+    if tol is not None:
+        assert max(c["residual"] for c in cases) < tol
 
 
-def test_exact_factorization_grid():
-    t0 = time.perf_counter()
-    for ctx in CTXS:
-        for lam in PAIRS:
-            sov.separate(lam, ctx)  # raises on any nonzero residual
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0, f"factorization grid took {elapsed:.1f} s"
-    _announce("exact factorization (full grid, zero tolerance)", t0)
+def _announce(name, report):
+    print(f"PASS {name} ({report['suite']} suite, {report['elapsed_ms'] / 1000:.1f} s)")
 
 
-def test_exact_inversion_roundtrips():
-    t0 = time.perf_counter()
+def test_exact_factorization_grid(suite_report):
+    report = suite_report("sov")
+    _check(report, {"factorization": GRID})
+    assert report["elapsed_ms"] < 60_000, f"sov suite took {report['elapsed_ms']} ms"
+    _announce("exact factorization (full grid, zero tolerance)", report)
+
+
+def test_exact_inversion_roundtrips(suite_report):
+    report = suite_report("sov")
+    _check(report, {"dual-route-map": len(CTXS), "inverse-difference-form": len(CTXS)})
+    # 100 round trips and six contexts off the default grid, which no suite draws
     rng = random.Random(0)
-    count = 0
-    while count < 100:
+    for count in range(100):
         ctx = CTXS[count % len(CTXS)]
         p = random_symmetric(rng, degree=6, terms=5)
         image = sov.apply_M(p, ctx)
         assert sov.apply_M_inverse(image, ctx) == p
         assert sov.apply_M(sov.apply_M_inverse(p, ctx), ctx) == p
-        count += 1
     for g in (1, 2, 3):
         for s, xi in (("1/2", "3/2"), ("1/3", "2")):
             ctx = QContext(s=frac(s), g=g, xi=frac(xi))
             for _ in range(3):
                 p = random_symmetric(rng, degree=4, terms=4)
                 assert sov.apply_M_inverse_qdiff(p, ctx) == sov.apply_M_inverse(p, ctx)
-    _announce("exact inversion (100 round trips + difference-operator form)", t0)
+    _announce("exact inversion (route pair, 100 round trips, difference-operator form)", report)
 
 
-def test_eigenvalue_and_separation_equations():
-    t0 = time.perf_counter()
-    for ctx in CTXS:
-        for lam in PAIRS:
-            macdonald.check_eigen(lam, ctx)
-            f = macdonald.separated_poly(lam, ctx)
-            residual = macdonald.separation_residual(
-                f.poly, macdonald.spectrum(lam, ctx), ctx
-            )
-            assert not residual
-    _announce("eigenvalue equations + separation equation (full grid)", t0)
+def test_eigenvalue_and_separation_equations(suite_report):
+    report = suite_report("macdonald")
+    _check(report, {"eigenvalue-equation": GRID, "separation-equation": GRID, "commuting-pair": len(CTXS)})
+    _announce("eigenvalue equations + separation equation (full grid)", report)
 
 
-def test_quantum_characteristic_equation_grid():
-    t0 = time.perf_counter()
-    for ctx in CTXS:
-        for nu in PAIRS:
-            sov.check_quantum_char_eq(nu, ctx)
-    _announce("quantum characteristic equation (full grid, j = 1, 2)", t0)
+def test_quantum_characteristic_equation_grid(suite_report):
+    report = suite_report("sov")
+    _check(report, {"characteristic-equation": GRID})
+    _announce("quantum characteristic equation (full grid, j = 1, 2)", report)
 
 
-def test_transition_matrices():
-    t0 = time.perf_counter()
-    for ctx in CTXS:
-        for lam in PAIRS:
-            suites.case_transitions(ctx, lam)
-            suites.case_reassembly(ctx, lam)
-            suites.case_mutual_inverse(ctx, lam)
-    _announce("transition matrices (closed vs recurrence, reassembly, inverses)", t0)
+def test_shift_operators_and_involutions(suite_report):
+    report = suite_report("sov")
+    _check(report, {"tridiagonal-action": GRID, "invariant-shift-operators": len(CTXS),
+                    "involution-intertwining": len(CTXS)})
+    _announce("tridiagonal action, shift operators and involutions", report)
 
 
-def test_cross_constructions():
-    t0 = time.perf_counter()
-    for ctx in CTXS:
-        for n in range(9):
-            assert qpoly.cq_sum(n, ctx.t, ctx) == qpoly.cq_recurrence(n, ctx.t, ctx)
-        qpoly.generating_function_check(6, ctx.t, ctx)
-        for lam in PAIRS:
-            assert (
-                macdonald.separated_poly(lam, ctx).poly
-                == macdonald.separated_poly_alt(lam, ctx).poly
-            )
-    _announce("cross constructions (recurrence, generating function, two forms)", t0)
+def test_transition_matrices(suite_report):
+    report = suite_report("transitions")
+    _check(report, {"transition-closed-vs-recurrence": GRID, "transition-reassembly": GRID,
+                    "mutual-inverse": GRID})
+    _announce("transition matrices (closed vs recurrence, reassembly, inverses)", report)
 
 
-def test_circle_integral_identity():
-    t0 = time.perf_counter()
+def test_cross_constructions(suite_report):
+    report = suite_report("qpoly")
+    _check(report, {"recurrence-vs-sum": len(CTXS), "generating-function": len(CTXS),
+                    "one-variable-connection": GRID})
+    # a separation-equation case also compares the two closed forms of f_lam
+    _check(suite_report("macdonald"), {"separation-equation": GRID, "monomial-factorized-form": GRID})
+    _announce("cross constructions (recurrence, generating function, two forms)", report)
+
+
+def test_circle_integral_identity(suite_report):
+    report = suite_report("numkernel")
+    _check(report, {"circle-integral": 2}, tol=1e-10)
+    _check(report, {"integral-symmetry": 1, "quadrature-convergence": 1})
+    # the suite draws its 25 weights from one seed at both q; the next 25
+    # draws of that seed run at q = 0.4 here
     rng = random.Random(0)
-    worst = 0.0
-    for q in (0.2, 0.4):
-        draws = [
-            nk.AWParams(
-                *(
-                    cmath.rect(rng.uniform(0.0, 0.6), rng.uniform(0.0, 2 * math.pi))
-                    for _ in range(4)
-                )
-            )
-            for _ in range(25)
-        ]
-        for params, quad in zip(draws, nk.aw_integral_report(draws, q)["values"]):
-            closed = nk.aw_closed_form(params, q)
-            worst = max(worst, abs(quad - closed) / abs(closed))
-    elapsed = time.perf_counter() - t0
-    assert worst < 1e-10
-    assert elapsed < 10.0, f"circle-integral batch took {elapsed:.1f} s"
-    _announce(f"weighted circle integral (50 draws, worst rel err {worst:.1e})", t0)
-
-
-def test_integral_operator_matches_algebra():
-    t0 = time.perf_counter()
-    worst = suites.case_mxi_vs_exact("1/2", 1, "3/2", nk.DEFAULT_CONFIG)
-    worst = max(worst, suites.case_mxi_vs_exact("1/2", 2, "1", nk.DEFAULT_CONFIG))
-    assert worst < 1e-8
-    _announce(f"integral operator vs algebraic map (worst err {worst:.1e})", t0)
-
-
-def test_product_formula_and_kernel_series():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for n in range(6):
-        for theta, phi in ((0.7, 1.1), (0.5, 0.9), (1.2, 0.4), (0.3, 1.8), (2.2, 1.0)):
-            worst = max(worst, nk.product_formula_check(n, theta, phi, 0.25, 0.5)["err"])
-    assert worst < 1e-6
-    series_err = nk.kernel_series_check(0.5, 0.9, 1.3, 0.25, 0.5)["err"]
-    assert series_err < 1e-6
-    _announce(
-        f"product formula (worst {worst:.1e}) + kernel series ({series_err:.1e})", t0
-    )
-
-
-def test_orthogonality_and_difference_equation():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for m in range(5):
-        for n in range(m, 5):
-            worst = max(worst, nk.orthogonality_check(m, n, 0.25, 0.5)["err"])
-    for n in range(5):
-        worst = max(worst, nk.qdiff_equation_check(n, 0.25, 0.5)["err"])
-    assert worst < 1e-6
-    _announce(f"orthogonality + difference equation (worst {worst:.1e})", t0)
-
-
-def test_fractional_operator():
-    t0 = time.perf_counter()
-    r = cmath.exp(0.35j)
-    y = cmath.exp(-1.1j)
-    ys = [cmath.exp(0.7j), cmath.exp(-2.1j), cmath.exp(1.9j)]
-    worst_loose = 0.0
-    for alpha, beta in ((0.5, 0.5), (0.3, 0.7), (1.0, 1.0)):
-        worst_loose = max(
-            worst_loose, nk.group_property_report(alpha, beta, r, ys, 0.25)["err"]
+    draws = [
+        nk.AWParams(
+            *(cmath.rect(rng.uniform(0.0, 0.6), rng.uniform(0.0, 2 * math.pi)) for _ in range(4))
         )
-    for alpha, nu in ((0.5, 0.4), (0.3, 1.0), (1.0, 0.7)):
-        worst_loose = max(
-            worst_loose, nk.power_action_report(alpha, nu, r, y, 0.25)["err"]
-        )
-    assert worst_loose < 1e-6
-    worst_tight = 0.0
-    for g in (1, 2, 3):
-        worst_tight = max(
-            worst_tight, nk.neg_order_consistency_report(g, r, ys, 0.25)["err"]
-        )
-    assert worst_tight < 1e-10
-    _announce(
-        f"fractional operator (group/power {worst_loose:.1e}, "
-        f"negative orders {worst_tight:.1e})",
-        t0,
-    )
+        for _ in range(50)
+    ]
+    assert nk.aw_integral_report(draws[25:], 0.4)["max_err"] < 1e-10
+    assert report["elapsed_ms"] < 10_000, f"numkernel suite took {report['elapsed_ms']} ms"
+    _announce("weighted circle integral (75 draws)", report)
 
 
-def test_classical_model():
-    t0 = time.perf_counter()
-    rng = random.Random(0)
-    t = 0.5
-    xis = (0.7, 1.3 + 0.2j)
+def test_integral_operator_matches_algebra(suite_report):
+    report = suite_report("numkernel")
+    _check(report, {"integral-vs-algebraic-map": 2}, tol=1e-8)
+    _check(report, {"kernel-eigenaction": 1})
+    _announce("integral operator vs algebraic map", report)
+
+
+def test_product_formula_and_kernel_series(suite_report):
+    report = suite_report("numkernel")
+    _check(report, {"product-formula": 6 * 5, "kernel-series": 1}, tol=1e-6)
+    _check(report, {"classical-limit": 1})
+    _announce("product formula + kernel series + classical limit", report)
+
+
+def test_orthogonality_and_difference_equation(suite_report):
+    report = suite_report("numkernel")
+    _check(report, {"orthogonality": 15, "difference-equation": 5}, tol=1e-6)
+    _announce("orthogonality + difference equation", report)
+
+
+def test_fractional_operator(suite_report):
+    report = suite_report("numkernel")
+    _check(report, {"fractional-power-action": 5, "fractional-group-law": 3}, tol=1e-6)
+    _check(report, {"fractional-negative-order": 3}, tol=1e-10)
+    _announce("fractional operator (group law, power action, negative orders)", report)
+
+
+def test_classical_model(suite_report):
+    report = suite_report("ruijsenaars")
+    _check(report, {"characteristic-polynomial": 20, "separation-variables": 20,
+                    "gauge-conjugation": 5}, tol=1e-10)
+    _check(report, {"chain-reduction": 5}, tol=1e-8)
+    _check(report, {"canonical-brackets": 20, "generating-function-derivatives": 5}, tol=1e-5)
+    _check(report, {"dilogarithm-identities": 1, "poisson-involutivity": 20, "hermitian-reality": 5})
+    # the suite's brackets use the step h = 1e-5; its 20 phase points also hold at h = 1e-6
     for i in range(20):
-        point = rj.random_phase_point(rng, 2)
-        xi = xis[i % 2]
-        for _ in range(3):
-            u = cmath.rect(rng.uniform(0.3, 2.0), rng.uniform(0.0, 2 * math.pi))
-            z = cmath.rect(rng.uniform(0.3, 2.0), rng.uniform(0.0, 2 * math.pi))
-            assert rj.char_poly_residual(point.x, point.Tx, t, u, z) < 1e-10
-        data = rj.separation_variables(point.x, point.Tx, t, xi, tol=1e-10)
-        assert abs(data.y[0] * data.y[1] * xi ** 2 - t * point.x[0] * point.x[1]) < 1e-10
-        rep = rj.canonicity_check(point.x, point.Tx, t, xi, h=1e-6, tol=1e-5)
-        assert rep["max"] < 1e-5
-        rj.richardson_report(point.x, point.Tx, t, xi)
-        point3 = rj.random_phase_point(rng, 3)
-        for _ in range(1):
-            u = cmath.rect(rng.uniform(0.3, 2.0), rng.uniform(0.0, 2 * math.pi))
-            z = cmath.rect(rng.uniform(0.3, 2.0), rng.uniform(0.0, 2 * math.pi))
-            assert rj.char_poly_residual(point3.x, point3.Tx, t, u, z) < 1e-10
-    for i in range(5):
-        point = rj.random_phase_point(rng, 2)
-        assert rj.generating_function_check(point.x, point.Tx, t, 0.7)["max"] < 1e-5
-        point3 = rj.random_phase_point(rng, 3)
-        ytld = (0.3 * cmath.exp(0.5j), 0.45 * cmath.exp(-1.1j))
-        assert rj.gauge_ratio_report(point3.x, 0.25, t, ytld)["max"] < 1e-10
-        assert rj.reduction_map_report(point3.x, (point3.Tx[0], point3.Tx[1]), t)["max"] < 1e-8
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 30.0, f"classical batch took {elapsed:.1f} s"
-    _announce("classical model (20 phase points, all identities)", t0)
+        point = rj.random_phase_point(random.Random(i), 2)
+        xi = (0.7, 1.3 + 0.2j)[i % 2]
+        assert rj.canonicity_check(point.x, point.Tx, 0.5, xi, h=1e-6, tol=1e-5)["max"] < 1e-5
+    assert report["elapsed_ms"] < 30_000, f"ruijsenaars suite took {report['elapsed_ms']} ms"
+    _announce("classical model (20 phase points, all identities)", report)
+
+
+def test_slug_census(suite_report):
+    assert [len(slugs) for slugs in CENSUS.values()] == [17, 13, 9]
+    for names, slugs in CENSUS.items():
+        assert {c["paper_eq"] for n in names for c in suite_report(n)["cases"]} == set(slugs)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qsov import macdonald, qpoly, sov, suites
-from qsov.errors import IdentityViolation
+from qsov.errors import IdentityViolation, NotDivisible, NotPolynomial
 from qsov.exact import Laurent2, Pair, QContext, frac, qpochhammer, random_symmetric
 
 CTX = QContext(s=frac(1, 2), g=1, xi=frac(1))
@@ -72,6 +72,17 @@ def test_separated_poly_alt_agrees(ctx):
         a = macdonald.separated_poly(lam, ctx)
         b = macdonald.separated_poly_alt(lam, ctx)
         assert a.poly == b.poly
+
+
+@pytest.mark.parametrize("raised, expected", [(TypeError, TypeError), (NotDivisible, NotPolynomial)])
+def test_separated_poly_alt_reports_only_an_inexact_quotient(monkeypatch, raised, expected):
+    # a coding slip inside the division propagates as itself
+    def divide_exact(num, den):
+        raise raised("planted")
+
+    monkeypatch.setattr(macdonald, "divide_exact", divide_exact)
+    with pytest.raises(expected):
+        macdonald.separated_poly_alt(Pair(0, 2), CTX2)
 
 
 @pytest.mark.parametrize("ctx", [CTX, CTX2])

@@ -615,11 +615,11 @@ _NODE_GRID_FAMILIES = (
 )
 
 
-def test_node_grid_residuals_stay_at_rounding_level():
+def test_node_grid_residuals_stay_at_rounding_level(suite_report):
     # Their tolerances are 1e-10 and 1e-6, loose enough to pass a truncated
     # log series or a dropped direct factor in qprod_nodes; the residuals of
     # the default run are at most 3.2e-15, so hold them to 1e-14.
-    report = suites.run_suite("numkernel")
+    report = suite_report("numkernel")
     seen = set()
     for case in report["cases"]:
         if case["paper_eq"] in _NODE_GRID_FAMILIES:

@@ -71,16 +71,24 @@ def _inputs(args) -> dict:
     as a usage error that names the flag and the value, and let errors from
     the computations themselves pass.
     """
+    out = args.out and os.path.abspath(args.out)
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out))):
+        raise _bad("--out", "a file path in an existing directory", args.out)
     if args.command == "verify":
         if args.lmax < 0:
             raise _bad("--lmax", "nonnegative (a negative bound checks no label)", args.lmax)
         max_workers = 4 * (os.cpu_count() or 1)
         if not 1 <= args.workers <= max_workers:
             raise _bad("--workers", f"in 1..{max_workers} (4 per CPU)", args.workers)
-        # the report's grid echoes the flag strings, so they are only checked here
+        # the report's grid echoes the flag strings, so they are only checked here;
+        # a repeated value would run every case twice under one id
         for flag in _CONTEXT_FLAGS:
+            seen = {}
             for text in getattr(args, flag[2:]) or ():
-                _context_value(flag, text)
+                value = _context_value(flag, text)
+                if value in seen:
+                    raise ValueError(f"{flag} {text} repeats the earlier value {seen[value]}")
+                seen[value] = text
         grid = {
             "s_values": tuple(args.s) if args.s else suites.DEFAULT_S,
             "g_values": tuple(args.g) if args.g else suites.DEFAULT_G,

@@ -18,7 +18,8 @@ scalar; only this module knows the storage.  Work on symmetric polynomials
 and its inverse Laurent2.combine_symmetric, which mirrors the half it sums,
 and Laurent1.tensor_square, which forms each mirror pair's product once.
 The first-order q-difference operators form one product too: mirror_quotient
-divides that product less its mirror (Laurent2.swap) by x1 - x2.
+divides that product less its mirror (Laurent2.swap) by x1 - x2, and the
+order-g one a product per diagonal a - b >= 0 plus its mirror (mirror_diagonal_sum).
 Readers elsewhere see the read-only {exponent: scalar} mapping p.c, and coeff
 returns the scalar type frac (fractions.Fraction, or gmpy2.mpq when gmpy2 is
 installed).  A polynomial is never changed once built: every operation
@@ -288,8 +289,8 @@ class ContextTables:
     eigen-multiplier), rows (sov: (kind, lam, route) -> transition row),
     macdonald (macdonald: lam -> P_lam) and separated (macdonald: width ->
     phi_width); qdiff (sov) holds the input-independent part of the
-    difference-operator inverse once it is built.  Entries are never mutated
-    once stored.
+    difference-operator inverse, rows by diagonal included, once it is built.
+    Entries are never mutated once stored.
     """
 
     def __init__(self, ctx: QContext):
@@ -424,6 +425,19 @@ def _add_multiple(out: dict, terms, m: int) -> None:
             out[k] = w
         else:
             del out[k]
+
+
+def _add_products(out: dict, left, right: list) -> None:
+    """out += left * right on two-variable numerator dicts, given as (exponent, numerator) pairs."""
+    get = out.get
+    for (a1, b1), v1 in left:
+        for (a2, b2), v2 in right:
+            k = (a1 + a2, b1 + b2)
+            w = get(k, 0) + v1 * v2
+            if w:
+                out[k] = w
+            else:
+                del out[k]
 
 
 def _upper_half(nums: dict):
@@ -701,16 +715,7 @@ class Laurent2(_Laurent):
         if s is not None:
             return self._scaled(s)
         out = {}
-        get = out.get
-        right = list(other._n.items())
-        for (a1, b1), v1 in self._n.items():
-            for (a2, b2), v2 in right:
-                k = (a1 + a2, b1 + b2)
-                w = get(k, 0) + v1 * v2
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
+        _add_products(out, self._n.items(), list(other._n.items()))
         return self._make(out, self._d * other._d)
 
     __rmul__ = __mul__
@@ -885,6 +890,30 @@ def mirror_quotient(c: Laurent2, p: Laurent2, s_steps: int, ctx: QContext) -> La
         raise ValueError("the first-order operators act on symmetric polynomials")
     a = c * qshift(p, 0, s_steps, ctx)
     return divide_exact(a - a.swap(), _X1_MINUS_X2)
+
+
+def mirror_diagonal_sum(row, p: Laurent2, m: int) -> Laurent2:
+    """T + U - (x2/x1)^m swap(U): the products of p's diagonals d >= 0, mirrored.
+
+    p_d is the part of p on the diagonal a - b = d, T = row(0) p_0 and
+    U = sum_{d > 0} row(d) p_d; the terms with a < b are not read.  When the
+    term of -d is -(x2/x1)^m swap(row(d) p_d), as in sov.apply_M_inverse_qdiff,
+    this is sum_d row(d) p_d over every d.  The products run on the int
+    numerators over one common denominator, and the result is reduced once.
+    """
+    diagonals = {}
+    for k, v in p._n.items():
+        if k[0] >= k[1]:
+            diagonals.setdefault(k[0] - k[1], []).append((k, v))
+    rows = {d: row(d) for d in diagonals}
+    den = lcm(*(r._d for r in rows.values()))
+    out, upper = {}, {}  # T, U
+    for d, terms in diagonals.items():
+        f = den // rows[d]._d
+        _add_products(upper if d else out, terms, [(k, w * f) for k, w in rows[d]._n.items()])
+    _add_multiple(out, upper.items(), 1)
+    _add_multiple(out, (((b - m, a + m), v) for (a, b), v in upper.items()), -1)
+    return Laurent2._make(out, p._d * den)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ the input side, their tilded partners on the output side), which makes it
 exactly computable on any symmetric Laurent polynomial: expand, scale each
 coefficient by the diagonal multiplier, reassemble on the other side.  The
 inverse comes either from inverting the diagonal action or, for integer g,
-from an order-g difference operator with rational coefficients.
+from an order-g difference operator with rational coefficients, one product
+per diagonal a - b >= 0 of the shifted input plus its mirror.
 
 An expansion in a basis and a transition row are both Laurent2 vectors whose
 exponents are the labels nu: the expansion of P_lam in the r basis is the
@@ -29,6 +30,7 @@ from .exact import (
     _times,
     divide_exact,
     frac,
+    mirror_diagonal_sum,
     mirror_quotient,
     pairs_under,
     qshift,
@@ -186,54 +188,69 @@ def apply_M_inverse(p: Laurent2, ctx: QContext) -> Laurent2:
 
 
 def apply_M_inverse_qdiff(p: Laurent2, ctx: QContext) -> Laurent2:
-    """Inverse map as the order-g difference operator with rational coefficients.
+    """Inverse map as the order-g difference operator sum_k n_k S_k p / denom.
 
-    Each of the g+1 shifted terms carries a rational coefficient whose
-    denominator divides a common product over x2/x1 ratios; the terms are
-    summed over that common denominator and the final division is exact.
+    S_k: x1 -> q^k x1/xi, x2 -> t q^-k x2/xi is S_0 with the term at (a, b)
+    scaled by q^(k(a-b)), so the sum is one product N_d p0_d per diagonal
+    a - b = d of p0 = S_0 p, with the row N_d = sum_k q^(kd) n_k.  For a
+    symmetric p the diagonals d < 0 are the mirror of those d > 0
+    (exact.mirror_diagonal_sum; _qdiff_operator checks the identity), and the
+    sum divides exactly.  An asymmetric p raises ValueError.
     """
-    denom, coeffs = _qdiff_operator(ctx)
-    qpow = tables(ctx).qpow
-    xi_inv = ONE / ctx.xi
-    accum = Laurent2()
-    for k, nk in enumerate(coeffs):
-        shifted = p.subs_scale(xi_inv * qpow(k), xi_inv * ctx.t * qpow(-k))
-        accum = accum + nk * shifted
-    return divide_exact(accum, denom)
+    if not p.is_symmetric():
+        raise ValueError("the difference-operator inverse acts on symmetric polynomials")
+    denom, coeffs, rows = _qdiff_operator(ctx)
+    qpow, xi_inv = tables(ctx).qpow, ONE / ctx.xi
+
+    def row(d):
+        if d not in rows:
+            rows[d] = Laurent1({k: qpow(k * d) for k in range(len(coeffs))}).combine(coeffs.__getitem__)
+        return rows[d]
+
+    p0 = p.subs_scale(xi_inv, xi_inv * ctx.t)
+    return divide_exact(mirror_diagonal_sum(row, p0, 2 * ctx.g + 1), denom)
+
+
+def _qdiff_numerator(k: int, ctx: QContext) -> Laurent2:
+    """n_k, the coefficient of S_k over the common denominator."""
+    tab = tables(ctx)
+    g = ctx.g
+    qpow, pq = tab.qpow, tab.ipoch_q
+    xi_inv, t_xi = ONE / ctx.xi, ctx.t * ctx.xi
+    # (-1)^k s^(-k(k-1)) times the Gaussian binomial [g over k]_q from the (q; q)_n array
+    coef = _ratio((((-1) ** k, 1), tab.ipow(-k * (k - 1)), pq[g]), (pq[k], pq[g - k]))
+    nk = Laurent2.term(-k, k, coef) * _linear(qpow(g - 2 * k), -1, 1)
+    for i in range(k):
+        nk = nk * _linear(xi_inv * qpow(i), 1, 0) * _linear(t_xi * qpow(i), 0, -1)
+    for i in range(g - k):
+        nk = nk * _linear(xi_inv * qpow(i), 0, 1) * _linear(t_xi * qpow(i), -1, 0)
+    for j in [*range(-g, -k), *range(g - k + 1, g + 1)]:
+        nk = nk * _linear(qpow(j), -1, 1)
+    return nk
 
 
 def _qdiff_operator(ctx: QContext) -> tuple:
-    """(denom, [n_0, ..., n_g]): the input-independent part of apply_M_inverse_qdiff.
+    """(denom, [n_0, ..., n_g], {d: N_d}): the input-independent part of apply_M_inverse_qdiff.
 
-    Built once per context and kept in its tables.
+    Built once per context and kept in its tables; apply_M_inverse_qdiff adds
+    each row N_d as it meets d.  The build checks with zero tolerance the
+    mirror identities swap(n_k) = -(x1/x2)^(2g+1) n_(g-k), for every k, and
+    swap(denom) = -(x1/x2)^(2g+1) denom.
     """
     tab = tables(ctx)
     if tab.qdiff is not None:
         return tab.qdiff
     g = ctx.g
-    qpow, pq = tab.qpow, tab.ipoch_q
-    xi_inv, t_xi = ONE / ctx.xi, ctx.t * ctx.xi
     denom = Laurent2({(0, 0): frac(*tab.ipoch_t[g])})
     for j in range(-g, g + 1):
-        denom = denom * _linear(qpow(j), -1, 1)
-    coeffs = []
-    for k in range(g + 1):
-        # (-1)^k s^(-k(k-1)) times the Gaussian binomial [g over k]_q from the (q; q)_n array
-        coef = _ratio((((-1) ** k, 1), tab.ipow(-k * (k - 1)), pq[g]), (pq[k], pq[g - k]))
-        nk = Laurent2.term(-k, k, coef)
-        nk = nk * _linear(qpow(g - 2 * k), -1, 1)
-        for i in range(k):
-            nk = nk * _linear(xi_inv * qpow(i), 1, 0)
-            nk = nk * _linear(t_xi * qpow(i), 0, -1)
-        for i in range(g - k):
-            nk = nk * _linear(xi_inv * qpow(i), 0, 1)
-            nk = nk * _linear(t_xi * qpow(i), -1, 0)
-        for j in range(-g, -k):
-            nk = nk * _linear(qpow(j), -1, 1)
-        for j in range(g - k + 1, g + 1):
-            nk = nk * _linear(qpow(j), -1, 1)
-        coeffs.append(nk)
-    tab.qdiff = (denom, coeffs)
+        denom = denom * _linear(tab.qpow(j), -1, 1)
+    coeffs = [_qdiff_numerator(k, ctx) for k in range(g + 1)]
+    m = 2 * g + 1
+    names = ["denom"] + [f"n_{k}" for k in range(g + 1)]
+    for name, f, mirror in zip(names, [denom] + coeffs, [denom] + coeffs[::-1]):
+        if f.swap() != -mirror.shifted(m, -m):
+            raise IdentityViolation(f"mirror identity of the difference operator fails for {name}")
+    tab.qdiff = (denom, coeffs, {})
     return tab.qdiff
 
 

@@ -37,6 +37,12 @@ DEFAULT_LMAX = 6
 
 
 def default_contexts(s_values=DEFAULT_S, g_values=DEFAULT_G, xi_values=DEFAULT_XI):
+    """Every (s, g, xi) of the grid; a value equal, as a rational, to an earlier one raises ValueError."""
+    for name, values in (("s_values", s_values), ("g_values", g_values), ("xi_values", xi_values)):
+        keys = [frac(v) for v in values]
+        repeated = [v for i, v in enumerate(values) if keys[i] in keys[:i]]
+        if repeated:
+            raise ValueError(f"{name} repeats the value {repeated[0]!r}: every case would run twice")
     return [
         QContext(s=frac(s), g=g, xi=frac(xi))
         for s in s_values

@@ -428,3 +428,57 @@ def test_numkernel_fork_pool_matches_serial(capsys):
         del report["elapsed_ms"]
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["verify", "sov", "--lmax", "0", "--g", "2", "--g", "2"], "--g", "2"),
+        (["verify", "sov", "--lmax", "0", "--s", "1/2", "--xi", "3/2", "--xi", "6/4", "--g", "1"], "--xi", "6/4"),
+        (["verify", "qpoly", "--s", "1/2", "--s", "1/3", "--s", "0.5"], "--s", "0.5"),
+    ],
+)
+def test_repeated_grid_value_is_usage_error(capsys, monkeypatch, argv, flag, value):
+    # a repeated value would run every case twice under one id
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_suite must not start")
+
+    monkeypatch.setattr(cli.suites, "run_suite", no_run)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"qsov: error: {flag} {value} repeats")
+
+
+@pytest.mark.parametrize(
+    "grid", [{"g_values": (2, 2)}, {"xi_values": ("3/2", "6/4")}, {"s_values": ("1/2", "2/4")}]
+)
+def test_run_suite_rejects_a_repeated_grid_value(grid):
+    (name,) = grid
+    with pytest.raises(ValueError, match=f"{name} repeats"):
+        cli.suites.run_suite("sov", lmax=0, **grid)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "sov", "--lmax", "0"], ["factorize", "--lam", "0,2"], ["compute", "basis"]],
+)
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_out_outside_an_existing_directory_is_usage_error(tmp_path, capsys, monkeypatch, argv, where):
+    # the path is checked before any case runs, not after all the work
+    def no_run(*args, **kwargs):
+        raise AssertionError("no work may start")
+
+    monkeypatch.setattr(cli.suites, "run_suite", no_run)
+    monkeypatch.setattr(cli.sov, "separate", no_run)
+    monkeypatch.setattr(cli.sov, "basis", no_run)
+    out = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"qsov: error: --out must be a file path in an existing directory, got {str(out)!r}"
+    assert list(tmp_path.iterdir()) == []

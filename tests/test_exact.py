@@ -4,7 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsov import exact
@@ -309,6 +309,47 @@ def test_laurent2_integer_form_matches_fraction_reference(da, db, s, n, f1, f2, 
     for p, ref in derived:
         _assert_canonical(p)
         assert dict(p.c) == ref
+
+
+def _naive_mirror_diagonal_sum(row, p, m):
+    """T + U - (x2/x1)^m swap(U) from one Laurent2 product per diagonal a - b >= 0 of p."""
+    diagonals = {}
+    for (a, b), v in p.c.items():
+        if a >= b:
+            diagonals.setdefault(a - b, {})[a, b] = v
+    t, u = Laurent2(), Laurent2()
+    for d, terms in diagonals.items():
+        if d:
+            u = u + row(d) * Laurent2(terms)
+        else:
+            t = t + row(d) * Laurent2(terms)
+    return t + u - u.swap().shifted(-m, m)
+
+
+_diagonal_rows = st.lists(_twovar, min_size=7, max_size=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_twovar, _diagonal_rows, st.integers(0, 5))
+@example(dp={}, rows=[{(0, 0): 1}] * 7, m=3)
+@example(dp={(2, 2): 3, (-1, -1): frac(1, 2)}, rows=[{(0, 0): frac(2, 3), (1, -1): -1}] * 7, m=1)
+@example(dp={(3, 0): 2, (1, -2): frac(-1, 5), (0, 3): 7}, rows=[{(-1, 1): frac(1, 4), (0, 0): 3}] * 7, m=2)
+@example(dp={(0, 1): 1, (-2, 3): 4}, rows=[{(0, 0): 1}] * 7, m=0)
+def test_mirror_diagonal_sum_matches_per_diagonal_products(dp, rows, m):
+    p = Laurent2(dp)
+    row_polys = [Laurent2(r) for r in rows]
+    read = []
+
+    def row(d):
+        read.append(d)
+        return row_polys[d]
+
+    got = exact.mirror_diagonal_sum(row, p, m)
+    _assert_canonical(got)
+    assert got == _naive_mirror_diagonal_sum(row_polys.__getitem__, p, m)
+    # each diagonal d >= 0 present in p reads its row once; the terms with a < b are not read
+    assert sorted(read) == sorted({a - b for a, b in p.c if a >= b})
+    assert p == Laurent2(dp) and row_polys == [Laurent2(r) for r in rows]
 
 
 def test_laurent_symmetry_and_eval():

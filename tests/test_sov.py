@@ -665,3 +665,67 @@ def test_first_order_operators_match_the_two_product_formula(ctx, lam, seed):
         for tag in sov.BASIS_TAGS:
             for j in (1, 2):
                 assert sov.apply_shift(p, j, tag, ctx) == _two_product_shift(p, j, tag, ctx), (tag, j)
+
+
+def _g_plus_one_products(p, ctx):
+    """Reference difference-operator inverse: sum_k n_k S_k p over denom, all g + 1 products formed."""
+    denom, coeffs, _ = sov._qdiff_operator(ctx)
+    xi_inv = 1 / ctx.xi
+    accum = Laurent2()
+    for k, nk in enumerate(coeffs):
+        accum = accum + nk * p.subs_scale(xi_inv * ctx.q ** k, xi_inv * ctx.t * ctx.q ** -k)
+    return exact.divide_exact(accum, denom)
+
+
+wider_labels = st.builds(
+    lambda l1, width: Pair(l1, l1 + width), st.integers(-6, 3), st.integers(0, 12)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ctx=off_grid_contexts(), lam=wider_labels, seed=st.integers(0, 2 ** 16))
+@example(ctx=QContext(s=frac(2, 7), g=5, xi=frac(-5, 3)), lam=Pair(-6, 6), seed=3)
+@example(ctx=QContext(s=frac(3, 5), g=2, xi=frac(1)), lam=Pair(-3, 9), seed=1)
+@_spot_examples(lam=Pair(-2, 4), seed=17)
+def test_difference_inverse_matches_the_g_plus_one_products(ctx, lam, seed):
+    rng = random.Random(seed)
+    inputs = [
+        Laurent2(),
+        Laurent2.one(),
+        random_symmetric(rng, degree=6, terms=6),
+        sov.apply_M(random_symmetric(rng, degree=3, terms=4), ctx),
+        sov.separate(lam, ctx).poly,
+    ]
+    for p in inputs:
+        got = sov.apply_M_inverse_qdiff(p, ctx)
+        assert got == _g_plus_one_products(p, ctx)
+        assert list(got.c) == list(_g_plus_one_products(p, ctx).c)
+    assert sov.apply_M_inverse_qdiff(inputs[-1], ctx) == macdonald.macdonald_poly(lam, ctx).poly
+
+
+@pytest.mark.parametrize("terms", [{(0, 1): 1}, {(0, 1): 1, (1, 0): 2}, {(2, -1): 1, (0, 0): 1}])
+def test_difference_inverse_rejects_an_asymmetric_polynomial(terms):
+    # the mirror would read only the diagonals a - b >= 0 and return a wrong inverse
+    for ctx in CTXS:
+        with pytest.raises(ValueError, match="symmetric"):
+            sov.apply_M_inverse_qdiff(Laurent2(terms), ctx)
+
+
+@pytest.mark.parametrize("k, corrupt", [(0, "scaled"), (0, "shifted"), (1, "shifted")])
+def test_difference_operator_build_checks_the_mirror_identity(monkeypatch, k, corrupt):
+    # at g = 2, n_0 mirrors n_2 and n_1 mirrors itself (so a scaled n_1 still
+    # satisfies the identity; the exact division rejects that one)
+    ctx = QContext(s=frac(2, 7), g=2, xi=frac(-5, 3))
+    monkeypatch.setattr(tables(ctx), "qdiff", None)
+    real = sov._qdiff_numerator
+
+    def corrupted(j, ctx):
+        nk = real(j, ctx)
+        if j != k:
+            return nk
+        return nk * 2 if corrupt == "scaled" else nk.shifted(1, 0)
+
+    monkeypatch.setattr(sov, "_qdiff_numerator", corrupted)
+    with pytest.raises(IdentityViolation, match=f"n_{k}"):
+        sov.apply_M_inverse_qdiff(Laurent2.one(), ctx)
+    assert tables(ctx).qdiff is None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -257,6 +258,7 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qsov",

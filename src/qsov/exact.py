@@ -445,6 +445,12 @@ def _upper_half(nums: dict):
     return compress(nums.items(), starmap(le, nums))
 
 
+def _shifted_half(element) -> tuple:
+    """(factor, the terms (a, b), a <= b, of factor moved to (a + d, b + d)), element = (factor, d)."""
+    factor, d = element
+    return factor, (((a + d, b + d), v) for (a, b), v in _upper_half(factor._n))
+
+
 class _Coeffs(Mapping):
     """Read-only {exponent: scalar} view of a polynomial's coefficients, in term order."""
 
@@ -573,25 +579,25 @@ class _Laurent:
         polynomial element(k); the elements share one class.  self's int
         numerators are the weights over one common denominator, so no scalar
         is built.  The image of the zero polynomial is the zero Laurent2.
-        Laurent2.combine_symmetric is the same map for symmetric elements.
+        Laurent2.combine_symmetric is the map for shifted symmetric elements.
         """
-        cls, nums, den = self._weighted_sum(element, dict.items)
+        cls, nums, den = self._weighted_sum(element, lambda p: (p, p._n.items()))
         return cls._make(nums, den)
 
     def _weighted_sum(self, element, terms) -> tuple:
         """(cls, nums, den): sum(self[k] * element(k)) as int numerators over den, unreduced.
 
-        Only the terms terms(element(k)._n) of each element are summed; cls
-        is the elements' class.
+        terms(element(k)) is (p, pairs): the polynomial p the element reads
+        and the (exponent, numerator) pairs of p to sum; cls is p's class.
         """
         if not self._n:
             return Laurent2, {}, 1
-        elements = [(v, element(k)) for k, v in self._n.items()]
-        den = lcm(*(p._d for _, p in elements))
+        parts = [(v, *terms(element(k))) for k, v in self._n.items()]
+        den = lcm(*(p._d for _, p, _ in parts))
         out = {}
-        for v, p in elements:
-            _add_multiple(out, terms(p._n), v * (den // p._d))
-        return type(elements[0][1]), out, self._d * den
+        for v, p, pairs in parts:
+            _add_multiple(out, pairs, v * (den // p._d))
+        return type(parts[0][1]), out, self._d * den
 
     def map_terms(self, fn):
         """Move and rescale every term: c at exponent k becomes c * f at k2, (k2, f) = fn(k).
@@ -757,14 +763,17 @@ class Laurent2(_Laurent):
         return all(n.get((b, a)) == v for (a, b), v in n.items())
 
     def combine_symmetric(self, element):
-        """combine for a family of symmetric elements: the inverse of expand.
+        """combine for a family of shifted symmetric elements: the inverse of expand.
 
-        Sums the terms (a, b) with a <= b of each element(k), through the
-        same accumulation as combine, then mirrors the sum: each term with
-        a < b is also written at (b, a), right after it.  So each product of
-        a weight and a numerator is formed once per mirror pair.
+        element(k) is a pair (factor, d) that stands for the symmetric
+        polynomial x1^d x2^d * factor, which is never built: the factor is
+        only read.  Sums the terms (a, b) with a <= b of each factor, moved
+        to (a + d, b + d) as they are read, through the same accumulation as
+        combine, then mirrors the sum: each term with a < b is also written
+        at (b, a), right after it.  So each product of a weight and a
+        numerator is formed once per mirror pair.
         """
-        cls, half, den = self._weighted_sum(element, _upper_half)
+        cls, half, den = self._weighted_sum(element, _shifted_half)
         half, den = _reduced(half, den)
         out = {}
         for m, v in half.items():
@@ -775,30 +784,30 @@ class Laurent2(_Laurent):
         return cls._wrap(out, den)
 
     def expand(self, element) -> "Laurent2":
-        """The label vector v with v.combine(element) == self: the inverse of combine.
+        """The label vector v with v.combine_symmetric(element) == self: its inverse.
 
         self is symmetric, and element is a triangular family: for every
-        label k = (lo, top), lo <= top, element(k) is a symmetric polynomial
-        with a nonzero coefficient at k and every monomial in the box
-        [lo, top]^2.  Each step peels off the pivot, the label with the
-        largest top and then the smallest lo among the remainder's monomials
-        (a, b), a <= b, taken from a heap of (-top, lo) keys with lazy
-        deletion.  v holds the labels in that order, which falls strictly
-        because an element adds monomials inside its box only, so the loop
-        ends.
+        label k = (lo, top), lo <= top, element(k) is a pair (factor, d) for
+        the symmetric E = x1^d x2^d * factor, with a nonzero coefficient at k
+        and every monomial in the box [lo, top]^2.  E is never built: a step
+        reads the factor's terms with a <= b, moved by d.  Each step peels off
+        the pivot, the label with the largest top and then the smallest lo
+        among the remainder's monomials (a, b), a <= b, taken from a heap of
+        (-top, lo) keys with lazy deletion.  v holds the labels in that order,
+        which falls strictly because an element adds monomials inside its box
+        only, so the loop ends.
 
-        Everything is symmetric, so the remainder keeps only its half a <= b
-        and each step reads only the element's terms with a <= b; the pass
-        that builds the half checks that self is symmetric.  The remainder
-        is an int numerator dict W over one denominator D and each step is
-        fraction-free (Bareiss): with w = W[k], E the element's numerators
-        over ed, el = E[k] and g = gcd(w, el), W becomes (el/g) W - (w/g) E
-        and D becomes D el/g.  Each entry of W changes on its own, so the
-        half gives the labels, values and order of the full remainder.  The
-        entry at k is the unreduced int pair (w ed/g, D el/g) with the old
-        D; v is built with one lcm and reduced once.  Raises NonTerminating
-        when self is not symmetric, when an element leaves its box or misses
-        its label, or when the remainder is not zero once no label is left.
+        Everything is symmetric, so the remainder keeps only its half a <= b;
+        the pass that builds the half checks that self is symmetric.  The
+        remainder is an int numerator dict W over one denominator D and each
+        step is fraction-free (Bareiss): with w = W[k], E's numerators over
+        ed, el = E[k] and g = gcd(w, el), W becomes (el/g) W - (w/g) E and D
+        becomes D el/g.  Each entry of W changes on its own, so the half
+        gives the labels, values and order of the full remainder.  The entry
+        at k is the unreduced int pair (w ed/g, D el/g) with the old D; v is
+        built with one lcm and reduced once.  Raises NonTerminating when self
+        is not symmetric, when an element leaves its box or misses its
+        label, or when the remainder is not zero once no label is left.
         """
         work, den, get = {}, self._d, self._n.get
         for m, v in self._n.items():
@@ -820,23 +829,23 @@ class Laurent2(_Laurent):
             w = work.get(k)
             if w is None:
                 continue
-            e = element(k)
-            el = e._n.get(k)
+            factor, d = element(k)
+            el = factor._n.get((lo - d, top - d))
             if el is None:
                 raise NonTerminating(f"element {k} has no term at its label")
             g = gcd(w, el)
             f, h = el // g, w // g
-            entries.append((k, h * e._d, den * f))
+            entries.append((k, h * factor._d, den * f))
             if f != 1:
                 work = {m: f * v for m, v in work.items()}
                 den *= f
             get = work.get
-            for m, v in e._n.items():
-                a, b = m
-                if a > b:
-                    continue
+            for (a, b), v in _upper_half(factor._n):
+                a += d
+                b += d
                 if a < lo or b > top:
-                    raise NonTerminating(f"element {k} has a term at {m}, outside its box")
+                    raise NonTerminating(f"element {k} has a term at {(a, b)}, outside its box")
+                m = (a, b)
                 x = get(m)
                 if x is None:
                     work[m] = -h * v
@@ -932,7 +941,9 @@ def divide_exact(num: Laurent2, den: Laurent2) -> Laurent2:
     exponent box means the division is inexact.  Each step removes the
     remainder's lex-leading exponent k and adds only exponents below it
     (den's own leading exponent is lex-largest), so the quotient exponents
-    fall strictly: the loop ends within the finite box.
+    fall strictly: the loop ends within the finite box.  That exponent comes
+    from a heap of (-a, -b) keys, pushed as exponents enter the remainder and
+    skipped when popped after their term cancelled.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -956,9 +967,14 @@ def divide_exact(num: Laurent2, den: Laurent2) -> Laurent2:
     dlead = max(dkeys)
     dcoef = den._n[dlead] // dcont
     rem = {k: v // ncont for k, v in num._n.items()}
+    heap = [(-a, -b) for a, b in rem]
+    heapify(heap)
     quot = {}
-    while rem:
-        k = max(rem)
+    while heap:
+        na, nb = heappop(heap)
+        k = (-na, -nb)
+        if k not in rem:
+            continue
         e = (k[0] - dlead[0], k[1] - dlead[1])
         if not (lo[0] <= e[0] <= hi[0] and lo[1] <= e[1] <= hi[1]):
             raise NotDivisible("remainder exponent outside quotient range")
@@ -968,7 +984,11 @@ def divide_exact(num: Laurent2, den: Laurent2) -> Laurent2:
         quot[e] = qc
         for dk, dv in dterms:
             kk = (dk[0] + e[0], dk[1] + e[1])
-            w = rem.get(kk, 0) - qc * dv
+            w = rem.get(kk)
+            if w is None:
+                heappush(heap, (-kk[0], -kk[1]))
+                w = 0
+            w -= qc * dv
             if w:
                 rem[kk] = w
             else:

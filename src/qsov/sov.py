@@ -90,6 +90,8 @@ def _factor(tag: str, width: int, ctx: QContext) -> Laurent2:
     factors): each new width multiplies the previous A by the one linear
     factor of k = width - 1.
     """
+    if width < 0:
+        raise ValueError(f"a label (l1, l2) needs l1 <= l2, got width {width}")
     table = _factor_table(tag, ctx)
     if len(table) <= width:
         tab = tables(ctx)
@@ -102,18 +104,20 @@ def _factor(tag: str, width: int, ctx: QContext) -> Laurent2:
     return table[width]
 
 
+def _anchored(tag: str, ctx: QContext):
+    """element(nu) = (factor of nu's width, anchor): basis(tag, nu), never built.
+
+    The anchor is nu1 for the forward bases (p, pt), nu2 for the backward ones.
+    """
+    e = 0 if _basis_param(tag, ctx)[0] else 1
+    return lambda nu: (_factor(tag, nu[1] - nu[0], ctx), nu[e])
+
+
 @lru_cache(maxsize=None)
 def basis(tag: str, nu: Pair, ctx: QContext) -> Laurent2:
-    """Basis element: the per-width factor of tag shifted by x1^anchor x2^anchor.
-
-    The anchor is nu1 for the forward bases (p, pt) and nu2 for the backward
-    ones (r, rt); the factor is shared by every label of the same width, and
-    the result shares its coefficient objects.  Results are cached and
-    shared.
-    """
-    forward, _ = _basis_param(tag, ctx)
-    anchor = nu.l1 if forward else nu.l2
-    return _factor(tag, nu.width, ctx).shifted(anchor, anchor)
+    """The element _anchored describes, built and cached for callers that need a polynomial."""
+    factor, anchor = _anchored(tag, ctx)(nu)
+    return factor.shifted(anchor, anchor)
 
 
 def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> Laurent2:
@@ -121,9 +125,10 @@ def expand_in_basis(p: Laurent2, tag: str, ctx: QContext) -> Laurent2:
 
     The result holds the coefficient of basis(tag, nu) at exponent nu, in
     the order Laurent2.expand peels the labels off: the basis is triangular,
-    basis(tag, nu) having its monomials in the box [nu1, nu2]^2.
+    basis(tag, nu) having its monomials in the box [nu1, nu2]^2, read as
+    its width factor at its anchor (_anchored).
     """
-    return p.expand(lambda k: basis(tag, Pair(*k), ctx))
+    return p.expand(_anchored(tag, ctx))
 
 
 def reassemble(vec: Laurent2, tag: str, ctx: QContext) -> Laurent2:
@@ -131,7 +136,7 @@ def reassemble(vec: Laurent2, tag: str, ctx: QContext) -> Laurent2:
 
     Every basis element is symmetric, so this is vec.combine_symmetric.
     """
-    return vec.combine_symmetric(lambda k: basis(tag, Pair(*k), ctx))
+    return vec.combine_symmetric(_anchored(tag, ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -482,3 +482,24 @@ def test_out_outside_an_existing_directory_is_usage_error(tmp_path, capsys, monk
     assert "Traceback" not in err
     assert err.splitlines()[-1] == f"qsov: error: --out must be a file path in an existing directory, got {str(out)!r}"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_is_built_once_and_keeps_no_values_between_calls(capsys, monkeypatch):
+    grids = []
+
+    def record(suite, **kwargs):
+        grids.append(kwargs)
+        return {"status": "pass", "cases": [], "elapsed_ms": 0}
+
+    monkeypatch.setattr(cli.suites, "run_suite", record)
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["verify", "qpoly", "--g", "2", "--g", "3", "--xi", "3/2", "--json"]) == 0
+    assert cli.main(["verify", "qpoly", "--g", "4", "--json"]) == 0
+    assert cli.main(["verify", "qpoly", "--json"]) == 0
+    capsys.readouterr()
+    first, second, third = grids
+    assert (first["g_values"], first["xi_values"]) == ((2, 3), ("3/2",))
+    assert (second["g_values"], second["xi_values"]) == ((4,), cli.suites.DEFAULT_XI)
+    assert (third["g_values"], third["xi_values"]) == (cli.suites.DEFAULT_G, cli.suites.DEFAULT_XI)
+    # an append flag's default stays None: no call's values are kept in the parser
+    assert cli.build_parser().parse_args(["verify", "qpoly"]).g is None

@@ -352,6 +352,101 @@ def test_mirror_diagonal_sum_matches_per_diagonal_products(dp, rows, m):
     assert p == Laurent2(dp) and row_polys == [Laurent2(r) for r in rows]
 
 
+def _divide_by_max(num, den):
+    """divide_exact as a rescan: each step takes the remainder's lex-leading term with max."""
+    if not num:
+        return Laurent2()
+    nkeys, dkeys = list(num._n), list(den._n)
+    lo = tuple(min(k[j] for k in nkeys) - min(k[j] for k in dkeys) for j in (0, 1))
+    hi = tuple(max(k[j] for k in nkeys) - max(k[j] for k in dkeys) for j in (0, 1))
+    if hi[0] < lo[0] or hi[1] < lo[1]:
+        raise NotDivisible("quotient support is empty")
+    ncont, dcont = gcd(*num._n.values()), gcd(*den._n.values())
+    dlead = max(dkeys)
+    dcoef = den._n[dlead] // dcont
+    rem = {k: v // ncont for k, v in num._n.items()}
+    quot = {}
+    while rem:
+        k = max(rem)
+        e = (k[0] - dlead[0], k[1] - dlead[1])
+        if not (lo[0] <= e[0] <= hi[0] and lo[1] <= e[1] <= hi[1]):
+            raise NotDivisible("remainder exponent outside quotient range")
+        qc, r = divmod(rem[k], dcoef)
+        if r:
+            raise NotDivisible("primitive quotient has a non-integer coefficient")
+        quot[e] = qc
+        for dk, dv in den._n.items():
+            kk = (dk[0] + e[0], dk[1] + e[1])
+            w = rem.get(kk, 0) - qc * (dv // dcont)
+            if w:
+                rem[kk] = w
+            else:
+                del rem[kk]
+    return Laurent2._make({e: v * ncont * den._d for e, v in quot.items()}, dcont * num._d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_twovar, _twovar.filter(lambda d: any(d.values())), _twovar)
+@example(dq={(3, -2): 1, (-1, 2): frac(2, 3), (0, 0): -5}, dd={(1, 0): 1, (0, 1): -1}, dr={})
+@example(dq={(0, 0): 1}, dd={(1, 0): 1, (0, 1): -1}, dr={(1, 1): 1})
+def test_divide_exact_matches_the_max_loop(dq, dd, dr):
+    """The heap picks the same lex-leading terms: same quotient, same term order, same verdict."""
+    q, d = Laurent2(dq), Laurent2(dd)
+    for num in (q * d, q * d + Laurent2(dr)):
+        try:
+            ref = _divide_by_max(num, d)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                divide_exact(num, d)
+            continue
+        got = divide_exact(num, d)
+        _assert_canonical(got)
+        assert got * d == num
+        assert list(got.c.items()) == list(ref.c.items())
+    assert divide_exact(q * d, d) == q
+
+
+_widths = range(5)
+
+
+@st.composite
+def _triangular_factors(draw):
+    """[F_0, ..., F_4], F_w = A(x1) A(x2) with A on [0, w] and nonzero at 0 and w.
+
+    So (F_(top - lo), lo) is a shifted element with a nonzero coefficient at
+    (lo, top) and every monomial in [lo, top]^2: a triangular family.
+    """
+    factors = []
+    for w in _widths:
+        inner = draw(st.dictionaries(st.integers(0, w), _rationals, max_size=w + 1))
+        ends = {0: draw(_nonzero), w: draw(_nonzero)}
+        factors.append(Laurent1({**inner, **ends}).tensor_square())
+    return factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(_triangular_factors(), st.integers(0, 2 ** 16))
+def test_shifted_elements_expand_and_combine_as_their_polynomials(factors, seed):
+    """A family read as (factor, shift) gives what the shifted polynomials give, in order."""
+    rng = random.Random(seed)
+    p = random_symmetric(rng, degree=rng.randint(0, 2), terms=rng.randint(0, 5))
+    terms = [list(f.c.items()) for f in factors]
+
+    def shifted(k):
+        return factors[k[1] - k[0]], k[0]
+
+    def polynomial(k):
+        return factors[k[1] - k[0]].shifted(k[0], k[0])
+
+    exp = p.expand(shifted)
+    assert list(exp.c.items()) == list(p.expand(lambda k: (polynomial(k), 0)).c.items())
+    back = exp.combine_symmetric(shifted)
+    _assert_canonical(back)
+    assert back == p == exp.combine(polynomial)
+    assert list(back.c.items()) == list(exp.combine_symmetric(lambda k: (polynomial(k), 0)).c.items())
+    assert [list(f.c.items()) for f in factors] == terms
+
+
 def test_laurent_symmetry_and_eval():
     p = Laurent2({(0, 2): frac(1, 3), (2, 0): frac(1, 3), (1, 1): 2})
     assert p.is_symmetric()

@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from qsov import exact, macdonald, sov, suites
 from qsov.errors import IdentityViolation, NonTerminating
-from qsov.exact import Laurent2, Pair, QContext, frac, qpochhammer, random_symmetric, tables
+from qsov.exact import (
+    Laurent2,
+    Pair,
+    QContext,
+    frac,
+    qpochhammer,
+    random_rational,
+    random_symmetric,
+    tables,
+)
 
 CTX = QContext(s=frac(1, 2), g=1, xi=frac(3, 2))
 CTX2 = QContext(s=frac(1, 3), g=2, xi=frac(2))
@@ -437,10 +446,18 @@ def label_vectors(draw):
 @given(ctx=off_grid_contexts(), vec=label_vectors())
 @_spot_examples(vec=Laurent2({Pair(-2, 4): frac(3, 7), Pair(0, 0): -1, Pair(1, 3): frac(5, 2)}))
 def test_combine_symmetric_matches_combine_on_symmetric_families(ctx, vec):
-    families = [lambda k, tag=tag: sov.basis(tag, Pair(*k), ctx) for tag in sov.BASIS_TAGS]
-    families.append(lambda k: macdonald.macdonald_poly(Pair(*k), ctx).poly)
-    for element in families:
-        out = vec.combine_symmetric(element)
+    # (shifted family for combine_symmetric, the same elements as polynomials for combine)
+    families = [
+        (sov._anchored(tag, ctx), lambda k, tag=tag: sov.basis(tag, Pair(*k), ctx))
+        for tag in sov.BASIS_TAGS
+    ]
+
+    def macdonald_family(k):
+        return macdonald.macdonald_poly(Pair(*k), ctx).poly
+
+    families.append((lambda k: (macdonald_family(k), 0), macdonald_family))
+    for shifted, element in families:
+        out = vec.combine_symmetric(shifted)
         assert out == vec.combine(element)
         assert out._d > 0 and 0 not in out._n.values() and gcd(out._d, *out._n.values()) == 1
         # each term (a, b) with a < b is followed by its mirror
@@ -458,10 +475,11 @@ def test_combine_symmetric_matches_combine_on_symmetric_families(ctx, vec):
 ])
 def test_expand_rejects_an_asymmetric_polynomial_in_its_first_pass(terms):
     calls = []
+    shifted = sov._anchored("p", CTX)
 
     def element(k):
         calls.append(k)
-        return sov.basis("p", Pair(*k), CTX)
+        return shifted(k)
 
     with pytest.raises(NonTerminating):
         Laurent2(terms).expand(element)
@@ -560,18 +578,23 @@ def test_expansion_matches_fraction_peel(ctx, lam, seed):
 def test_expansion_stops_on_a_corrupted_element(monkeypatch, corrupt):
     nu = Pair(0, 2)
     p = sov.basis("p", Pair(-1, 3), CTX) + sov.basis("p", nu, CTX)
-    real_basis = sov.basis
+    real_anchored = sov._anchored
 
-    def corrupted(tag, label, ctx):
-        element = real_basis(tag, label, ctx)
-        if label != nu:
-            return element
-        if corrupt == "outside":
-            # symmetric, so only the box check tells it from a genuine element
-            return element + Laurent2.term(nu.l2 + 1, nu.l2 + 1)
-        return element - Laurent2.term(*nu, element.coeff(*nu))
+    def corrupted_family(tag, ctx):
+        shifted = real_anchored(tag, ctx)
 
-    monkeypatch.setattr(sov, "basis", corrupted)
+        def corrupted(label):
+            if label != nu:
+                return shifted(label)
+            element = sov.basis(tag, nu, ctx)
+            if corrupt == "outside":
+                # symmetric, so only the box check tells it from a genuine element
+                return element + Laurent2.term(nu.l2 + 1, nu.l2 + 1), 0
+            return element - Laurent2.term(*nu, element.coeff(*nu)), 0
+
+        return corrupted
+
+    monkeypatch.setattr(sov, "_anchored", corrupted_family)
     with pytest.raises(NonTerminating):
         sov.expand_in_basis(p, "p", CTX)
 
@@ -580,13 +603,18 @@ def test_expansion_of_a_sparse_wide_polynomial_is_cheap(monkeypatch):
     n = 10 ** 4
     p = Laurent2({(0, 0): 1, (n, n): 1})
     calls = []
-    real_basis = sov.basis
+    real_anchored = sov._anchored
 
-    def counted(tag, label, ctx):
-        calls.append(label)
-        return real_basis(tag, label, ctx)
+    def counted_family(tag, ctx):
+        shifted = real_anchored(tag, ctx)
 
-    monkeypatch.setattr(sov, "basis", counted)
+        def counted(label):
+            calls.append(label)
+            return shifted(label)
+
+        return counted
+
+    monkeypatch.setattr(sov, "_anchored", counted_family)
     for tag in sov.BASIS_TAGS:
         calls.clear()
         start = time.perf_counter()
@@ -594,6 +622,72 @@ def test_expansion_of_a_sparse_wide_polynomial_is_cheap(monkeypatch):
         assert time.perf_counter() - start < 1.0
         assert calls == [Pair(n, n), Pair(0, 0)]
         assert sov.reassemble(exp, tag, CTX) == p
+
+
+widest_labels = st.builds(
+    lambda l1, width: Pair(l1, l1 + width), st.integers(-5, 2), st.integers(0, 12)
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ctx=off_grid_contexts(), lam=widest_labels, seed=st.integers(0, 2 ** 16))
+@_spot_examples(lam=Pair(-3, 9), seed=5)
+def test_shifted_elements_match_the_cached_basis(ctx, lam, seed):
+    """Each width factor read at its anchor gives what the per-label elements give, in order."""
+    rng = random.Random(seed)
+    labels = exact.pairs_under(lam)
+    vec = Laurent2({nu: random_rational(rng) for nu in rng.sample(labels, min(6, len(labels)))})
+    inputs = [
+        random_symmetric(rng, degree=rng.randint(0, 6), terms=rng.randint(1, 6)),
+        macdonald.macdonald_poly(lam, ctx).poly,
+    ]
+    for tag in sov.BASIS_TAGS:
+        shifted = sov._anchored(tag, ctx)
+
+        def cached(k, tag=tag):
+            return sov.basis(tag, Pair(*k), ctx)
+
+        out = vec.combine_symmetric(shifted)
+        assert out == vec.combine(cached)
+        assert _same_terms(out, vec.combine_symmetric(lambda k: (cached(k), 0)))
+        for p in inputs:
+            exp = p.expand(shifted)
+            assert _same_terms(exp, p.expand(lambda k: (cached(k), 0)))
+            assert exp.combine_symmetric(shifted) == p
+
+
+def test_maps_make_no_basis_call(monkeypatch):
+    """The maps read the width factors: sov.basis is neither called nor filled."""
+    rng = random.Random(30)
+    real_basis = sov.basis
+    real_basis.cache_clear()
+    calls = []
+
+    def spy(tag, nu, ctx):
+        calls.append((tag, nu))
+        return real_basis(tag, nu, ctx)
+
+    monkeypatch.setattr(sov, "basis", spy)
+    for ctx in CTXS:
+        lam = Pair(-2, 3)
+        p = random_symmetric(rng, degree=4, terms=5)
+        image = sov.separate(lam, ctx).poly
+        vec = sov.expand_in_basis(p, "r", ctx)
+        maps = [
+            lambda: sov.apply_M(p, ctx),
+            lambda: sov.apply_M_via_r(p, ctx),
+            lambda: sov.apply_M_inverse(image, ctx),
+            lambda: sov.reassemble(vec, "rt", ctx),
+        ]
+        for run in maps:
+            run()
+    assert calls == []
+    assert real_basis.cache_info().currsize == 0
+
+
+def test_reassembly_rejects_a_label_with_l1_above_l2():
+    with pytest.raises(ValueError):
+        sov.reassemble(Laurent2.term(2, 1), "p", CTX)
 
 
 @pytest.mark.parametrize("ctx", CTXS)
